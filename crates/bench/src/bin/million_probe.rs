@@ -3,6 +3,7 @@ use antennae_core::bounds::theorem2_spread_threshold;
 use antennae_core::instance::Instance;
 use antennae_core::solver::Solver;
 use antennae_core::verify::VerificationEngine;
+use std::io::{ErrorKind, Write};
 use std::time::Instant;
 
 fn rss_mb() -> f64 {
@@ -16,33 +17,48 @@ fn rss_mb() -> f64 {
     0.0
 }
 
+/// Runs the probe; stdout closing early (`million_probe | head`) ends the
+/// run quietly instead of panicking.
 fn main() {
+    if let Err(e) = run() {
+        if e.kind() != ErrorKind::BrokenPipe {
+            eprintln!("million_probe: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
+fn run() -> std::io::Result<()> {
     let n: usize = std::env::args()
         .nth(1)
         .and_then(|a| a.parse().ok())
         .unwrap_or(100_000);
+    let mut out = std::io::stdout().lock();
     let t0 = Instant::now();
     let points = uniform_points(n, 42);
-    println!("gen: {:.2}s", t0.elapsed().as_secs_f64());
+    writeln!(out, "gen: {:.2}s", t0.elapsed().as_secs_f64())?;
     let t = Instant::now();
     let instance = Instance::new(points).unwrap();
-    println!("instance (MST): {:.2}s", t.elapsed().as_secs_f64());
+    writeln!(out, "instance (MST): {:.2}s", t.elapsed().as_secs_f64())?;
     let t = Instant::now();
     let outcome = Solver::on(&instance)
         .budget(3, theorem2_spread_threshold(3))
         .run()
         .unwrap();
-    println!("solve: {:.2}s", t.elapsed().as_secs_f64());
+    writeln!(out, "solve: {:.2}s", t.elapsed().as_secs_f64())?;
     let t = Instant::now();
     let report = VerificationEngine::new().verify(&instance, &outcome.scheme);
-    println!(
+    writeln!(
+        out,
         "verify: {:.2}s strongly_connected={}",
         t.elapsed().as_secs_f64(),
         report.is_strongly_connected
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "total: {:.2}s peak_rss: {:.0} MB",
         t0.elapsed().as_secs_f64(),
         rss_mb()
-    );
+    )?;
+    out.flush()
 }

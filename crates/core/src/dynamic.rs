@@ -6,7 +6,7 @@
 //!
 //! * [`DynamicInstance`] wraps the incrementally maintained degree-5
 //!   Euclidean MST ([`antennae_graph::dynamic::DynamicEmst`]: buffered
-//!   kd-tree edits, Kruskal-merge inserts, localized Borůvka removal
+//!   per-tile kd edits, bounded-star inserts, localized Borůvka removal
 //!   repair) and materializes a regular [`Instance`] on demand — live slots
 //!   in ascending order, the maintained tree handed over without a rebuild.
 //! * [`DynamicSolverSession`] owns a dynamic instance plus one budget and
@@ -119,7 +119,7 @@ impl DynamicInstance {
             None => Self::new(points),
             Some(grid) => {
                 let (emst, _stats) =
-                    DynamicEmst::new_tiled(points, grid, crate::parallel::default_threads())
+                    DynamicEmst::new_tiled(points, grid, antennae_parallel::default_threads())
                         .map_err(|e| OrientError::MstConstruction(e.to_string()))?;
                 Ok(DynamicInstance { emst, cache: None })
             }
@@ -127,7 +127,7 @@ impl DynamicInstance {
     }
 
     /// The shard grid backing this instance as `(tiles_x, tiles_y)`, `None`
-    /// when the instance runs on the global (unsharded) engine.
+    /// when the instance is unsharded (its spatial index is a single tile).
     pub fn shard_grid(&self) -> Option<(usize, usize)> {
         self.emst.tile_grid().map(|g| (g.tiles_x(), g.tiles_y()))
     }
@@ -141,10 +141,10 @@ impl DynamicInstance {
     /// Re-resolves `spec` against the **current** live deployment and swaps
     /// the spatial index accordingly; returns `true` when the instance is
     /// sharded afterwards.  The maintained tree and all ids are untouched —
-    /// both index variants answer queries bit-identically — so this is safe
+    /// the index answers queries bit-identically over any grid — so this is safe
     /// at any point in an instance's life.  The deployment server applies
     /// the configured spec here after crash recovery (replay starts from an
-    /// empty, hence global, engine).
+    /// empty, hence unsharded, engine).
     pub fn apply_shard_spec(&mut self, spec: ShardSpec) -> bool {
         let grid = spec.resolve(&self.emst.live_points());
         let sharded = grid.is_some();

@@ -49,7 +49,7 @@
 //!
 //! For whole budget grids or fleets of deployments, [`batch::BatchOrienter`]
 //! and [`batch::InstanceBatch`] share MST substrates across every solve and
-//! fan the work out over the order-preserving [`parallel::parallel_map`].
+//! fan the work out over the order-preserving [`antennae_parallel::parallel_map`].
 //!
 //! Deployments under churn go through [`dynamic::DynamicInstance`] and
 //! [`dynamic::DynamicSolverSession`]: insert/remove/move edits incrementally
@@ -73,7 +73,6 @@ pub mod bounds;
 pub mod dynamic;
 pub mod error;
 pub mod instance;
-pub mod parallel;
 pub mod scheme;
 pub mod shard;
 pub mod solver;

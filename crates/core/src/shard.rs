@@ -46,9 +46,9 @@
 
 use crate::error::OrientError;
 use crate::instance::Instance;
-use crate::parallel::default_threads;
 use antennae_geometry::{Point, TileGrid};
 use antennae_graph::sharded::{build_sharded, StitchStats};
+use antennae_parallel::default_threads;
 
 /// Below this many points [`ShardSpec::Auto`] stays global: the whole input
 /// is at most a handful of tiles' worth of work, and the static engine would

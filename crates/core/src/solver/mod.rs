@@ -39,12 +39,8 @@
 //! # Ok::<(), antennae_core::error::OrientError>(())
 //! ```
 //!
-//! The legacy free functions
-//! [`dispatch::orient`](crate::algorithms::dispatch::orient) and
-//! [`dispatch::orient_with_report`](crate::algorithms::dispatch::orient_with_report)
-//! are thin deprecated shims over
-//! [`SelectionPolicy::BestGuarantee`]; the selection logic itself lives only
-//! here.
+//! [`SelectionPolicy::BestGuarantee`] replaces the pre-0.2 free-function
+//! dispatch; the selection logic lives only here.
 
 mod orienters;
 
@@ -56,9 +52,9 @@ use crate::algorithms::AlgorithmKind;
 use crate::antenna::AntennaBudget;
 use crate::error::OrientError;
 use crate::instance::Instance;
-use crate::parallel::{default_threads, parallel_map};
 use crate::scheme::OrientationScheme;
 use crate::verify::{VerificationEngine, VerificationReport, VerificationSession};
+use antennae_parallel::{default_threads, parallel_map};
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, OnceLock};
 
@@ -258,8 +254,8 @@ impl Registry {
 pub enum SelectionPolicy {
     /// Run the single orienter with the best *proven* radius guarantee (ties
     /// broken by registry order; heuristics only when nothing proven
-    /// applies).  On [`Registry::paper`] this reproduces the legacy
-    /// `dispatch::orient_with_report` exactly.
+    /// applies).  On [`Registry::paper`] this reproduces the pre-0.2
+    /// dispatch table exactly.
     #[default]
     BestGuarantee,
     /// Run exactly the named algorithm, failing with
@@ -267,7 +263,7 @@ pub enum SelectionPolicy {
     /// registry or rejects the budget.
     Specific(AlgorithmKind),
     /// Run *every* applicable orienter (fanned out over
-    /// [`crate::parallel::parallel_map`]) and keep the scheme
+    /// [`antennae_parallel::parallel_map`]) and keep the scheme
     /// with the smallest *measured* max radius; all candidates are reported
     /// in [`OrientationOutcome::candidates`].
     Portfolio,
@@ -388,7 +384,7 @@ impl VerifiedOutcome {
 ///
 /// Defaults: budget `(k = 1, φ = 0)`, [`SelectionPolicy::BestGuarantee`],
 /// the shared [`Registry::paper`] and
-/// [`crate::parallel::default_threads`] workers (threads
+/// [`antennae_parallel::default_threads`] workers (threads
 /// only matter for [`SelectionPolicy::Portfolio`]).
 #[derive(Debug, Clone)]
 pub struct Solver<'a> {

@@ -32,16 +32,16 @@
 //! batch budget grid), [`VerificationEngine::session`] builds the kd-tree
 //! once and reuses it; [`VerificationEngine::verify_batch`] and
 //! [`VerificationSession::verify_schemes`] fan independent verifications out
-//! over [`crate::parallel::parallel_map`].
+//! over [`antennae_parallel::parallel_map`].
 
 use crate::antenna::AntennaBudget;
 use crate::bounds::{radius_over_lmax, SPREAD_EPS};
 use crate::instance::Instance;
-use crate::parallel::{chunk_ranges, default_threads, parallel_map};
 use crate::scheme::OrientationScheme;
-use antennae_geometry::{KdTree, Point, EPS};
+use antennae_geometry::{KdIndex, Point, EPS};
 use antennae_graph::scc::scc_summary;
 use antennae_graph::DiGraph;
+use antennae_parallel::{chunk_ranges, default_threads, parallel_map};
 use serde::{Deserialize, Serialize};
 
 /// A violation detected while verifying a scheme.
@@ -244,7 +244,7 @@ impl VerificationEngine {
     /// edges, same adjacency order) regardless of strategy.
     pub fn induced_digraph(&self, points: &[Point], scheme: &OrientationScheme) -> DiGraph {
         if self.uses_kdtree(points.len()) {
-            self.kd_induced_digraph(points, scheme, &KdTree::build(points))
+            self.kd_induced_digraph(points, scheme, &KdIndex::build(points))
         } else {
             scheme.induced_digraph(points)
         }
@@ -278,7 +278,7 @@ impl VerificationEngine {
     pub fn session<'a>(&self, instance: &'a Instance) -> VerificationSession<'a> {
         let tree = self
             .uses_kdtree(instance.len())
-            .then(|| KdTree::build(instance.points()));
+            .then(|| KdIndex::build(instance.points()));
         VerificationSession {
             instance,
             tree,
@@ -287,7 +287,7 @@ impl VerificationEngine {
     }
 
     /// Verifies many independent `(instance, scheme)` pairs concurrently
-    /// over [`crate::parallel::parallel_map`], preserving input order.
+    /// over [`antennae_parallel::parallel_map`], preserving input order.
     ///
     /// Each pair is verified under `budget` (when `Some`).  Pairs are
     /// independent, so the per-pair digraph rebuild runs sequentially inside
@@ -314,7 +314,7 @@ impl VerificationEngine {
     /// become rows of one flat target vector, handed to
     /// [`DiGraph::from_csr`] without any intermediate nested adjacency.  The
     /// parallel path chunks the sensor range over
-    /// [`crate::parallel::chunk_ranges`], each chunk emitting a local
+    /// [`antennae_parallel::chunk_ranges`], each chunk emitting a local
     /// `(row sizes, targets)` pair with one reused candidate buffer, and the
     /// chunks are spliced in order; each row's contents are computed by the
     /// same query-and-filter whatever the chunking, so every thread count
@@ -323,7 +323,7 @@ impl VerificationEngine {
         &self,
         points: &[Point],
         scheme: &OrientationScheme,
-        tree: &KdTree,
+        tree: &KdIndex,
     ) -> DiGraph {
         let n = points.len().min(scheme.len());
         // One chunk's rows: the number of targets per sensor in the range,
@@ -335,7 +335,7 @@ impl VerificationEngine {
             for u in start..end {
                 let assignment = scheme.assignment(u);
                 let apex = &points[u];
-                tree.within_radius_into(apex, assignment.max_radius() + EPS, &mut buf);
+                tree.within_radius_into(points, apex, assignment.max_radius() + EPS, &mut buf);
                 let before = targets.len();
                 for &v in &buf {
                     if v != u && assignment.covers(apex, &points[v]) {
@@ -371,8 +371,9 @@ impl VerificationEngine {
     }
 }
 
-/// An incremental verification session: one instance, one kd-tree, many
-/// schemes.  Created by [`VerificationEngine::session`].
+/// An incremental verification session: one instance, one kd index over
+/// the instance's own points (borrowed, not copied), many schemes.  Created
+/// by [`VerificationEngine::session`].
 ///
 /// Sessions are `Sync` (the kd-tree is immutable after construction), so a
 /// shared session can serve concurrent verifications — this is what
@@ -381,7 +382,7 @@ impl VerificationEngine {
 #[derive(Debug, Clone)]
 pub struct VerificationSession<'a> {
     instance: &'a Instance,
-    tree: Option<KdTree>,
+    tree: Option<KdIndex>,
     engine: VerificationEngine,
 }
 
@@ -418,7 +419,7 @@ impl VerificationSession<'_> {
     }
 
     /// Verifies many schemes against the session's instance concurrently
-    /// (one kd-tree, [`crate::parallel::parallel_map`] across schemes),
+    /// (one kd-tree, [`antennae_parallel::parallel_map`] across schemes),
     /// preserving input order.
     pub fn verify_schemes(
         &self,

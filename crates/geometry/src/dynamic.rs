@@ -1,8 +1,8 @@
-//! A mutable spatial index: a static [`KdTree`] snapshot plus a deferred
+//! A mutable spatial index: a static [`KdIndex`] snapshot plus a deferred
 //! edit log (buffered inserts and tombstoned removals) with threshold-driven
-//! rebuilds.
+//! rebuilds — the per-tile index inside [`crate::TiledKdForest`].
 //!
-//! The static [`KdTree`] is immutable by design — every query in the MST and
+//! The static [`KdIndex`] is immutable by design — every query in the MST and
 //! verification engines relies on its deterministic layout.  Dynamic
 //! deployments (sensors arriving, failing, moving) therefore use this
 //! wrapper: edits land in O(1) amortized (an append to the insert buffer or
@@ -14,10 +14,10 @@
 //! query results are reported in slot space with the same tie-breaking
 //! contract as the static tree: distance ties go to the smaller slot, range
 //! queries return slots sorted ascending.  That makes the dynamic index a
-//! drop-in replacement for a freshly built [`KdTree`] over the live points —
+//! drop-in replacement for a freshly built [`KdIndex`] over the live points —
 //! the equality the dynamic-instance oracle tests in `antennae-core` pin.
 
-use crate::kdtree::KdTree;
+use crate::kdtree::KdIndex;
 use crate::point::Point;
 
 /// Sentinel for "slot not present in the snapshot".
@@ -30,9 +30,10 @@ const NO_POS: u32 = u32::MAX;
 /// is dense, so keep them compact (the dynamic MST engine hands out
 /// monotonically increasing slots).
 #[derive(Debug, Clone)]
-pub struct DynamicKdTree {
-    /// Snapshot tree over `snapshot_slots`' points (positions index both).
-    snapshot: KdTree,
+pub(crate) struct DynamicKdTree {
+    /// Snapshot points in ascending slot order and the index over them
+    /// (positions index both, and `snapshot_slots`).
+    snapshot: (Vec<Point>, KdIndex),
     /// Position → slot for the snapshot's points, ascending by slot.
     snapshot_slots: Vec<usize>,
     /// Position → superseded flag (removed or moved since the snapshot).
@@ -61,11 +62,12 @@ impl DynamicKdTree {
     /// Slots must be distinct; the snapshot is laid out in ascending slot
     /// order so that the underlying tree's index tie-breaking coincides with
     /// slot tie-breaking.
-    pub fn new(entries: &[(usize, Point)]) -> Self {
+    pub(crate) fn new(entries: &[(usize, Point)]) -> Self {
         let mut entries: Vec<(usize, Point)> = entries.to_vec();
         entries.sort_unstable_by_key(|&(slot, _)| slot);
         let points: Vec<Point> = entries.iter().map(|&(_, p)| p).collect();
         let snapshot_slots: Vec<usize> = entries.iter().map(|&(slot, _)| slot).collect();
+        let index = KdIndex::build(&points);
         let max_slot = snapshot_slots.last().copied().map_or(0, |s| s + 1);
         let mut pos_of_slot = vec![NO_POS; max_slot];
         for (pos, &slot) in snapshot_slots.iter().enumerate() {
@@ -73,7 +75,7 @@ impl DynamicKdTree {
             pos_of_slot[slot] = pos as u32;
         }
         DynamicKdTree {
-            snapshot: KdTree::build_owned(points),
+            snapshot: (points, index),
             stale: vec![false; snapshot_slots.len()],
             live: snapshot_slots.len(),
             snapshot_slots,
@@ -85,30 +87,19 @@ impl DynamicKdTree {
         }
     }
 
-    /// Builds the index over a dense point slice (slot `i` = index `i`).
-    pub fn from_dense(points: &[Point]) -> Self {
-        let entries: Vec<(usize, Point)> = points.iter().copied().enumerate().collect();
-        Self::new(&entries)
-    }
-
-    /// Number of live (inserted and not removed) entries.
-    pub fn len_live(&self) -> usize {
-        self.live
-    }
-
     /// Returns `true` when no live entry is stored.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.live == 0
     }
 
     /// How many threshold-triggered rebuilds have run (telemetry for tests
     /// and the churn experiment).
-    pub fn rebuild_count(&self) -> usize {
+    pub(crate) fn rebuild_count(&self) -> usize {
         self.rebuilds
     }
 
     /// Returns `true` when `slot` currently holds a live entry.
-    pub fn contains(&self, slot: usize) -> bool {
+    pub(crate) fn contains(&self, slot: usize) -> bool {
         if self.buffer.iter().any(|&(s, _)| s == slot) {
             return true;
         }
@@ -119,7 +110,7 @@ impl DynamicKdTree {
     }
 
     /// Inserts `point` under `slot` (which must not be live).
-    pub fn insert(&mut self, slot: usize, point: Point) {
+    pub(crate) fn insert(&mut self, slot: usize, point: Point) {
         debug_assert!(!self.contains(slot), "slot {slot} already live");
         self.buffer.push((slot, point));
         self.live += 1;
@@ -127,7 +118,7 @@ impl DynamicKdTree {
     }
 
     /// Removes the live entry under `slot`.
-    pub fn remove(&mut self, slot: usize) {
+    pub(crate) fn remove(&mut self, slot: usize) {
         if let Some(i) = self.buffer.iter().position(|&(s, _)| s == slot) {
             self.buffer.swap_remove(i);
         } else {
@@ -140,13 +131,6 @@ impl DynamicKdTree {
         self.maybe_rebuild();
     }
 
-    /// Moves the live entry under `slot` to `point` (tombstone + re-insert
-    /// under the same slot).
-    pub fn update(&mut self, slot: usize, point: Point) {
-        self.remove(slot);
-        self.insert(slot, point);
-    }
-
     fn maybe_rebuild(&mut self) {
         if self.buffer.len() + self.stale_count > (self.rebuild_limit)(self.live) {
             self.rebuild();
@@ -154,11 +138,11 @@ impl DynamicKdTree {
     }
 
     /// Compacts the edit log into a fresh snapshot over the live entries.
-    pub fn rebuild(&mut self) {
+    fn rebuild(&mut self) {
         let mut entries: Vec<(usize, Point)> = Vec::with_capacity(self.live);
         for (pos, &slot) in self.snapshot_slots.iter().enumerate() {
             if !self.stale[pos] {
-                entries.push((slot, self.snapshot_point(pos)));
+                entries.push((slot, self.snapshot.0[pos]));
             }
         }
         entries.extend_from_slice(&self.buffer);
@@ -167,18 +151,10 @@ impl DynamicKdTree {
         self.rebuilds = rebuilds;
     }
 
-    /// The point stored at snapshot position `pos` (positions match the
-    /// build order, which the static tree preserves in its `points` slice —
-    /// recovered through a nearest query of radius 0 would be silly, so the
-    /// slot table keeps its own copy via the buffer-or-snapshot split).
-    fn snapshot_point(&self, pos: usize) -> Point {
-        self.snapshot.point(pos)
-    }
-
     /// All live slots within `radius` of `query` (closed ball), sorted
     /// ascending.  `scratch` holds snapshot positions between calls so the
     /// per-query work allocates nothing once the buffers have grown.
-    pub fn within_radius_with(
+    pub(crate) fn within_radius_with(
         &self,
         query: &Point,
         radius: f64,
@@ -186,7 +162,8 @@ impl DynamicKdTree {
         out: &mut Vec<usize>,
     ) {
         out.clear();
-        self.snapshot.within_radius_into(query, radius, scratch);
+        let (points, index) = &self.snapshot;
+        index.within_radius_into(points, query, radius, scratch);
         for &pos in scratch.iter() {
             if !self.stale[pos] {
                 out.push(self.snapshot_slots[pos]);
@@ -200,26 +177,17 @@ impl DynamicKdTree {
         out.sort_unstable();
     }
 
-    /// Allocating convenience wrapper over
-    /// [`DynamicKdTree::within_radius_with`].
-    pub fn within_radius(&self, query: &Point, radius: f64) -> Vec<usize> {
-        let mut scratch = Vec::new();
-        let mut out = Vec::new();
-        self.within_radius_with(query, radius, &mut scratch, &mut out);
-        out
-    }
-
     /// Nearest live slot to `query` for which `skip` returns `false`, as
     /// `(slot, distance)`.  Distance ties are broken towards the smaller
     /// slot, matching the static tree's contract.
-    pub fn nearest_filtered_slot<F: Fn(usize) -> bool>(
+    pub(crate) fn nearest_filtered_slot<F: Fn(usize) -> bool>(
         &self,
         query: &Point,
         skip: F,
     ) -> Option<(usize, f64)> {
-        let snapshot_best = self
-            .snapshot
-            .nearest_filtered(query, |pos| {
+        let (points, index) = &self.snapshot;
+        let snapshot_best = index
+            .nearest_filtered(points, query, |pos| {
                 self.stale[pos] || skip(self.snapshot_slots[pos])
             })
             .map(|(pos, d)| (self.snapshot_slots[pos], d));
@@ -245,11 +213,17 @@ impl DynamicKdTree {
 mod tests {
     use super::*;
 
+    fn within_radius(t: &DynamicKdTree, q: &Point, r: f64) -> Vec<usize> {
+        let mut out = Vec::new();
+        t.within_radius_with(q, r, &mut Vec::new(), &mut out);
+        out
+    }
+
     fn assert_matches_fresh(dynamic: &DynamicKdTree, live: &[(usize, Point)]) {
         // Every query must agree with a fresh static tree over the live set.
         let points: Vec<Point> = live.iter().map(|&(_, p)| p).collect();
         let slots: Vec<usize> = live.iter().map(|&(s, _)| s).collect();
-        let fresh = KdTree::build(&points);
+        let fresh = KdIndex::build(&points);
         let queries = [
             Point::new(0.0, 0.0),
             Point::new(2.5, 1.5),
@@ -258,14 +232,14 @@ mod tests {
         for q in &queries {
             for r in [0.5, 2.0, 10.0] {
                 let mut expected: Vec<usize> = fresh
-                    .within_radius(q, r)
+                    .within_radius(&points, q, r)
                     .into_iter()
                     .map(|i| slots[i])
                     .collect();
                 expected.sort_unstable();
-                assert_eq!(dynamic.within_radius(q, r), expected, "q={q} r={r}");
+                assert_eq!(within_radius(dynamic, q, r), expected, "q={q} r={r}");
             }
-            let expected = fresh.nearest(q).map(|(i, d)| (slots[i], d));
+            let expected = fresh.nearest(&points, q).map(|(i, d)| (slots[i], d));
             let got = dynamic.nearest_filtered_slot(q, |_| false);
             match (got, expected) {
                 (None, None) => {}
@@ -286,7 +260,7 @@ mod tests {
             .map(|i| (i, Point::new(i as f64 * 0.7, (i % 3) as f64)))
             .collect();
         let mut t = DynamicKdTree::new(&live);
-        assert_eq!(t.len_live(), 10);
+        assert_eq!(t.live, 10);
         assert_matches_fresh(&t, &live);
 
         // Insert a few new slots.
@@ -302,7 +276,8 @@ mod tests {
             assert_matches_fresh(&t, &live);
         }
         // Move an entry.
-        t.update(5, Point::new(9.0, 9.0));
+        t.remove(5);
+        t.insert(5, Point::new(9.0, 9.0));
         live.iter_mut().find(|e| e.0 == 5).unwrap().1 = Point::new(9.0, 9.0);
         assert_matches_fresh(&t, &live);
         assert!(t.contains(5));
@@ -324,7 +299,7 @@ mod tests {
             live.retain(|&(s, _)| s != victim);
         }
         assert!(t.rebuild_count() > 0, "threshold rebuild never fired");
-        assert_eq!(t.len_live(), live.len());
+        assert_eq!(t.live, live.len());
         assert_matches_fresh(&t, &live);
     }
 
@@ -333,13 +308,13 @@ mod tests {
         let t = DynamicKdTree::new(&[]);
         assert!(t.is_empty());
         assert!(t.nearest_filtered_slot(&Point::ORIGIN, |_| false).is_none());
-        assert!(t.within_radius(&Point::ORIGIN, 5.0).is_empty());
+        assert!(within_radius(&t, &Point::ORIGIN, 5.0).is_empty());
 
-        let mut t = DynamicKdTree::from_dense(&[Point::new(1.0, 1.0)]);
-        assert_eq!(t.len_live(), 1);
-        assert_eq!(t.within_radius(&Point::ORIGIN, 2.0), vec![0]);
+        let mut t = DynamicKdTree::new(&[(0, Point::new(1.0, 1.0))]);
+        assert_eq!(t.live, 1);
+        assert_eq!(within_radius(&t, &Point::ORIGIN, 2.0), vec![0]);
         t.remove(0);
         assert!(t.is_empty());
-        assert!(t.within_radius(&Point::ORIGIN, 2.0).is_empty());
+        assert!(within_radius(&t, &Point::ORIGIN, 2.0).is_empty());
     }
 }

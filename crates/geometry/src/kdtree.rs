@@ -15,16 +15,10 @@
 //! edges, and the parallel construction below relies on the layout
 //! independence for its bit-equality guarantee.
 //!
-//! # Two flavours
-//!
-//! * [`KdIndex`] — the index alone, borrowing the point slice at every
-//!   query.  This is what the million-sensor build pipeline uses: the MST
-//!   engine already owns the points, so indexing them must not copy them.
-//! * [`KdTree`] — an index bundled with an owned copy of the points, for
-//!   callers that want a self-contained value (the verification session, the
-//!   dynamic snapshot index).  [`KdTree::build_owned`] takes the point
-//!   vector by value, so handing ownership over costs nothing; only
-//!   [`KdTree::build`] on a borrowed slice pays one copy.
+//! [`KdIndex`] is the index alone, borrowing the point slice at every
+//! query: the MST engine, the verification engine and the dynamic snapshot
+//! (`DynamicKdTree`, behind [`crate::TiledKdForest`]) all own their points
+//! already, so indexing them must not copy them.
 //!
 //! # Construction
 //!
@@ -42,7 +36,6 @@
 //! queries would agree even if they didn't, by the layout independence noted
 //! above.
 
-use crate::bbox::Aabb;
 use crate::point::Point;
 use antennae_parallel::parallel_map;
 use std::sync::Mutex;
@@ -72,9 +65,8 @@ struct Node {
 ///
 /// Every query takes the point slice as a parameter; the caller must pass
 /// the same points (same order, same length) the index was built over.
-/// This is the zero-copy flavour the Euclidean MST engine builds over the
-/// instance's own point storage — see the module docs for the owning
-/// [`KdTree`] wrapper.
+/// The Euclidean MST engine builds it over the instance's own point
+/// storage, so the index never copies the points.
 #[derive(Debug, Clone)]
 pub struct KdIndex {
     nodes: Vec<Node>,
@@ -531,144 +523,6 @@ fn skeleton_rec(
     node_pos
 }
 
-/// A static kd-tree built once over a point set, bundling a [`KdIndex`] with
-/// an owned copy of the points.
-///
-/// Indices returned by queries refer to positions in the original slice the
-/// tree was built from.
-#[derive(Debug, Clone)]
-pub struct KdTree {
-    index: KdIndex,
-    points: Vec<Point>,
-}
-
-impl KdTree {
-    /// Builds a kd-tree over `points`.  An empty slice yields an empty tree.
-    ///
-    /// This copies the slice once (the tree owns its points); callers that
-    /// can part with their vector should use [`KdTree::build_owned`], which
-    /// copies nothing.
-    pub fn build(points: &[Point]) -> Self {
-        Self::build_owned(points.to_vec())
-    }
-
-    /// Builds a kd-tree that takes ownership of `points` — no copy is made.
-    ///
-    /// Million-point callers that hold a `Vec<Point>` they no longer need
-    /// (the dynamic snapshot rebuild, for one) should prefer this over
-    /// [`KdTree::build`], which would otherwise hold a second copy of the
-    /// point set for the tree's lifetime.
-    pub fn build_owned(points: Vec<Point>) -> Self {
-        Self::build_owned_with_threads(points, 1)
-    }
-
-    /// Like [`KdTree::build`], but fans subtree construction out over up to
-    /// `threads` workers (see [`KdIndex::build_with_threads`]; the logical
-    /// tree is identical for every thread count).
-    pub fn build_with_threads(points: &[Point], threads: usize) -> Self {
-        Self::build_owned_with_threads(points.to_vec(), threads)
-    }
-
-    /// [`KdTree::build_owned`] with an explicit worker-thread count.
-    pub fn build_owned_with_threads(points: Vec<Point>, threads: usize) -> Self {
-        let index = KdIndex::build_with_threads(&points, threads);
-        KdTree { index, points }
-    }
-
-    /// The underlying index (borrowable for zero-copy query loops that
-    /// already hold the point slice).
-    pub fn index(&self) -> &KdIndex {
-        &self.index
-    }
-
-    /// Number of points stored.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// The stored point at index `i` (the index space query results use).
-    ///
-    /// The dynamic wrapper ([`crate::dynamic::DynamicKdTree`]) reads points
-    /// back out of its snapshot through this when compacting its edit log.
-    pub fn point(&self, i: usize) -> Point {
-        self.points[i]
-    }
-
-    /// Returns `true` when the tree stores no points.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Nearest neighbour of `query` among the stored points, optionally
-    /// skipping indices for which `skip` returns `true`.  See
-    /// [`KdIndex::nearest_filtered`].
-    pub fn nearest_filtered<F: Fn(usize) -> bool>(
-        &self,
-        query: &Point,
-        skip: F,
-    ) -> Option<(usize, f64)> {
-        self.index.nearest_filtered(&self.points, query, skip)
-    }
-
-    /// Nearest point to `query` whose component label differs from `label`.
-    /// See [`KdIndex::nearest_foreign`].
-    pub fn nearest_foreign(
-        &self,
-        query: &Point,
-        labels: &[usize],
-        label: usize,
-    ) -> Option<(usize, f64)> {
-        self.index
-            .nearest_foreign(&self.points, query, labels, label)
-    }
-
-    /// Like [`KdTree::nearest_foreign`], but only reports points at distance
-    /// `max_dist` or closer.  See [`KdIndex::nearest_foreign_within`].
-    pub fn nearest_foreign_within(
-        &self,
-        query: &Point,
-        labels: &[usize],
-        label: usize,
-        max_dist: f64,
-    ) -> Option<(usize, f64)> {
-        self.index
-            .nearest_foreign_within(&self.points, query, labels, label, max_dist)
-    }
-
-    /// Nearest neighbour of `query` (no filtering).
-    pub fn nearest(&self, query: &Point) -> Option<(usize, f64)> {
-        self.index.nearest(&self.points, query)
-    }
-
-    /// All indices of points within `radius` of `query` (closed ball).
-    pub fn within_radius(&self, query: &Point, radius: f64) -> Vec<usize> {
-        self.index.within_radius(&self.points, query, radius)
-    }
-
-    /// Like [`KdTree::within_radius`], but clears and fills a caller-owned
-    /// buffer instead of allocating a fresh `Vec` per query.  See
-    /// [`KdIndex::within_radius_into`].
-    pub fn within_radius_into(&self, query: &Point, radius: f64, out: &mut Vec<usize>) {
-        self.index
-            .within_radius_into(&self.points, query, radius, out)
-    }
-
-    /// All indices of points inside the axis-aligned box.
-    pub fn within_box(&self, bbox: &Aabb) -> Vec<usize> {
-        let mut out: Vec<usize> = (0..self.points.len())
-            .filter(|&i| bbox.contains(&self.points[i]))
-            .collect();
-        out.sort_unstable();
-        out
-    }
-
-    /// The `k` nearest neighbours of `query`, sorted by increasing distance
-    /// (ties towards the smaller index).  See [`KdIndex::k_nearest`].
-    pub fn k_nearest(&self, query: &Point, k: usize) -> Vec<(usize, f64)> {
-        self.index.k_nearest(&self.points, query, k)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -687,20 +541,17 @@ mod tests {
 
     #[test]
     fn empty_tree_queries() {
-        let t = KdTree::build(&[]);
-        assert!(t.is_empty());
-        assert!(t.nearest(&Point::ORIGIN).is_none());
-        assert!(t.within_radius(&Point::ORIGIN, 10.0).is_empty());
         let idx = KdIndex::build(&[]);
         assert!(idx.is_empty());
         assert!(idx.nearest(&[], &Point::ORIGIN).is_none());
+        assert!(idx.within_radius(&[], &Point::ORIGIN, 10.0).is_empty());
     }
 
     #[test]
     fn nearest_neighbour_simple() {
         let pts = sample_points();
-        let t = KdTree::build(&pts);
-        let (idx, d) = t.nearest(&Point::new(0.6, 0.5)).unwrap();
+        let t = KdIndex::build(&pts);
+        let (idx, d) = t.nearest(&pts, &Point::new(0.6, 0.5)).unwrap();
         assert_eq!(idx, 5);
         assert!(d < 0.2);
     }
@@ -708,43 +559,35 @@ mod tests {
     #[test]
     fn nearest_with_skip_excludes_self() {
         let pts = sample_points();
-        let t = KdTree::build(&pts);
-        let (idx, _) = t.nearest_filtered(&pts[0], |i| i == 0).unwrap();
+        let t = KdIndex::build(&pts);
+        let (idx, _) = t.nearest_filtered(&pts, &pts[0], |i| i == 0).unwrap();
         assert_eq!(idx, 5); // (0.5, 0.4) is the closest other point
     }
 
     #[test]
     fn within_radius_returns_ball_members() {
         let pts = sample_points();
-        let t = KdTree::build(&pts);
-        let hits = t.within_radius(&Point::new(0.0, 0.0), 1.5);
+        let t = KdIndex::build(&pts);
+        let hits = t.within_radius(&pts, &Point::new(0.0, 0.0), 1.5);
         assert_eq!(hits, vec![0, 1, 5]);
     }
 
     #[test]
     fn within_radius_into_reuses_the_buffer() {
         let pts = sample_points();
-        let t = KdTree::build(&pts);
+        let t = KdIndex::build(&pts);
         let mut buf = vec![99, 98]; // stale contents must be cleared
-        t.within_radius_into(&Point::new(0.0, 0.0), 1.5, &mut buf);
+        t.within_radius_into(&pts, &Point::new(0.0, 0.0), 1.5, &mut buf);
         assert_eq!(buf, vec![0, 1, 5]);
-        t.within_radius_into(&Point::new(100.0, 100.0), 0.5, &mut buf);
+        t.within_radius_into(&pts, &Point::new(100.0, 100.0), 0.5, &mut buf);
         assert!(buf.is_empty());
-    }
-
-    #[test]
-    fn within_box_query() {
-        let pts = sample_points();
-        let t = KdTree::build(&pts);
-        let bbox = Aabb::new(Point::new(-0.1, -0.1), Point::new(1.1, 1.1));
-        assert_eq!(t.within_box(&bbox), vec![0, 1, 5]);
     }
 
     #[test]
     fn k_nearest_is_sorted() {
         let pts = sample_points();
-        let t = KdTree::build(&pts);
-        let knn = t.k_nearest(&Point::new(0.0, 0.0), 3);
+        let t = KdIndex::build(&pts);
+        let knn = t.k_nearest(&pts, &Point::new(0.0, 0.0), 3);
         assert_eq!(knn.len(), 3);
         assert!(knn.windows(2).all(|w| w[0].1 <= w[1].1));
         assert_eq!(knn[0].0, 0);
@@ -753,10 +596,10 @@ mod tests {
     #[test]
     fn k_nearest_edge_cases() {
         let pts = sample_points();
-        let t = KdTree::build(&pts);
-        assert!(t.k_nearest(&Point::ORIGIN, 0).is_empty());
+        let t = KdIndex::build(&pts);
+        assert!(t.k_nearest(&pts, &Point::ORIGIN, 0).is_empty());
         // Asking for more neighbours than points returns all of them, sorted.
-        let all = t.k_nearest(&Point::ORIGIN, 100);
+        let all = t.k_nearest(&pts, &Point::ORIGIN, 100);
         assert_eq!(all.len(), pts.len());
         assert!(all.windows(2).all(|w| w[0].1 <= w[1].1));
     }
@@ -764,32 +607,32 @@ mod tests {
     #[test]
     fn nearest_foreign_skips_own_component() {
         let pts = sample_points();
-        let t = KdTree::build(&pts);
+        let t = KdIndex::build(&pts);
         // Points 0 and 5 share component 7; the nearest foreigner of point 0
         // must therefore be point 1, not the closer point 5.
         let labels = vec![7, 1, 1, 2, 2, 7];
-        let (idx, d) = t.nearest_foreign(&pts[0], &labels, 7).unwrap();
+        let (idx, d) = t.nearest_foreign(&pts, &pts[0], &labels, 7).unwrap();
         assert_eq!(idx, 1);
         assert!((d - pts[0].distance(&pts[1])).abs() < 1e-12);
         // A component holding every point sees no foreigner.
         let all_same = vec![3; pts.len()];
-        assert!(t.nearest_foreign(&pts[0], &all_same, 3).is_none());
+        assert!(t.nearest_foreign(&pts, &pts[0], &all_same, 3).is_none());
     }
 
     #[test]
     fn nearest_foreign_within_respects_the_bound() {
         let pts = sample_points();
-        let t = KdTree::build(&pts);
+        let t = KdIndex::build(&pts);
         let labels = vec![7, 1, 1, 2, 2, 7];
-        let exact = t.nearest_foreign(&pts[0], &labels, 7).unwrap();
+        let exact = t.nearest_foreign(&pts, &pts[0], &labels, 7).unwrap();
         // A bound at exactly the true distance still reports the point…
         let bounded = t
-            .nearest_foreign_within(&pts[0], &labels, 7, exact.1)
+            .nearest_foreign_within(&pts, &pts[0], &labels, 7, exact.1)
             .unwrap();
         assert_eq!(bounded.0, exact.0);
         // …while a tighter bound hides everything.
         assert!(t
-            .nearest_foreign_within(&pts[0], &labels, 7, exact.1 * 0.99)
+            .nearest_foreign_within(&pts, &pts[0], &labels, 7, exact.1 * 0.99)
             .is_none());
     }
 
@@ -802,26 +645,14 @@ mod tests {
             Point::new(1.0, 0.0),
             Point::new(0.0, 5.0),
         ];
-        let t = KdTree::build(&pts);
-        let (idx, d) = t.nearest(&Point::ORIGIN).unwrap();
+        let t = KdIndex::build(&pts);
+        let (idx, d) = t.nearest(&pts, &Point::ORIGIN).unwrap();
         assert_eq!(idx, 0);
         assert!((d - 1.0).abs() < 1e-12);
         // Duplicate points: both at distance 0, index 0 wins.
         let dup = vec![Point::new(2.0, 2.0), Point::new(2.0, 2.0)];
-        let td = KdTree::build(&dup);
-        assert_eq!(td.nearest(&Point::new(2.0, 2.0)).unwrap().0, 0);
-    }
-
-    #[test]
-    fn build_owned_matches_build() {
-        let pts = sample_points();
-        let borrowed = KdTree::build(&pts);
-        let owned = KdTree::build_owned(pts.clone());
-        for q in &pts {
-            assert_eq!(borrowed.nearest(q), owned.nearest(q));
-            assert_eq!(borrowed.within_radius(q, 2.0), owned.within_radius(q, 2.0));
-        }
-        assert_eq!(owned.point(3), pts[3]);
+        let td = KdIndex::build(&dup);
+        assert_eq!(td.nearest(&dup, &Point::new(2.0, 2.0)).unwrap().0, 0);
     }
 
     #[test]
@@ -872,8 +703,8 @@ mod tests {
         ) {
             let pts: Vec<Point> = xs.iter().map(|&(x, y)| Point::new(x, y)).collect();
             let q = Point::new(qx, qy);
-            let t = KdTree::build(&pts);
-            let (idx, d) = t.nearest(&q).unwrap();
+            let t = KdIndex::build(&pts);
+            let (idx, d) = t.nearest(&pts, &q).unwrap();
             let best_lin = pts.iter().map(|p| q.distance(p)).fold(f64::INFINITY, f64::min);
             prop_assert!((d - best_lin).abs() < 1e-9);
             prop_assert!((q.distance(&pts[idx]) - d).abs() < 1e-12);
@@ -887,8 +718,8 @@ mod tests {
         ) {
             let pts: Vec<Point> = xs.iter().map(|&(x, y)| Point::new(x, y)).collect();
             let q = Point::new(qx, qy);
-            let t = KdTree::build(&pts);
-            let got = t.k_nearest(&q, k);
+            let t = KdIndex::build(&pts);
+            let got = t.k_nearest(&pts, &q, k);
             let mut expected: Vec<(usize, f64)> = (0..pts.len())
                 .map(|i| (i, q.distance(&pts[i])))
                 .collect();
@@ -909,8 +740,8 @@ mod tests {
             let pts: Vec<Point> = xs.iter().map(|&(x, y, _)| Point::new(x, y)).collect();
             let labels: Vec<usize> = xs.iter().map(|&(_, _, l)| l).collect();
             let q = Point::new(qx, qy);
-            let t = KdTree::build(&pts);
-            let got = t.nearest_foreign(&q, &labels, label);
+            let t = KdIndex::build(&pts);
+            let got = t.nearest_foreign(&pts, &q, &labels, label);
             let expected = (0..pts.len())
                 .filter(|&i| labels[i] != label)
                 .map(|i| (i, q.distance(&pts[i])))
@@ -933,10 +764,10 @@ mod tests {
         ) {
             let pts: Vec<Point> = xs.iter().map(|&(x, y)| Point::new(x, y)).collect();
             let q = Point::new(qx, qy);
-            let t = KdTree::build(&pts);
+            let t = KdIndex::build(&pts);
             let mut expected: Vec<usize> = (0..pts.len()).filter(|&i| q.distance(&pts[i]) <= r).collect();
             expected.sort_unstable();
-            prop_assert_eq!(t.within_radius(&q, r), expected);
+            prop_assert_eq!(t.within_radius(&pts, &q, r), expected);
         }
     }
 }

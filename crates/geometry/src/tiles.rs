@@ -71,6 +71,13 @@ impl TileGrid {
         }
     }
 
+    /// The one-tile grid: every point, wherever it lies, clamps into tile 0.
+    /// A [`TiledKdForest`] over it is a single global index — the spatial
+    /// index of an unsharded dynamic deployment.
+    pub fn single() -> Self {
+        TileGrid::new(Aabb::new(Point::ORIGIN, Point::ORIGIN), 1.0)
+    }
+
     /// Grid over the bounding box of `points` with `per_axis × per_axis`
     /// tiles; `None` for an empty point set.
     pub fn with_tiles_per_axis(points: &[Point], per_axis: usize) -> Option<Self> {
@@ -181,18 +188,22 @@ impl TileGrid {
     }
 }
 
-/// A forest of per-tile [`DynamicKdTree`]s keyed by **global** slots.
+/// A forest of per-tile mutable kd indexes keyed by **global** slots.
 ///
-/// Mirrors the `DynamicKdTree` query surface (closed-ball range queries with
-/// ascending slot output, filtered nearest with smaller-slot tie-breaking)
-/// while keeping every index tile-sized: an edit rebuilds at most one tile's
-/// index, and amortized maintenance cost scales with the tile population,
-/// not the deployment size.
+/// Each tile holds a static [`crate::KdIndex`] snapshot plus a small edit
+/// log (buffered inserts, tombstoned removals) that is compacted into a
+/// fresh snapshot once it grows past a fraction of the tile.  The forest
+/// answers closed-ball range queries with ascending slot output and
+/// filtered nearest queries with smaller-slot tie-breaking, while keeping
+/// every index tile-sized: an edit rebuilds at most one tile's index, and
+/// amortized maintenance cost scales with the tile population, not the
+/// deployment size.  Over [`TileGrid::single`] the forest is one global
+/// index.
 ///
 /// **Exactness:** query results are a pure function of the live
-/// `(slot, point)` set — identical to a single global `DynamicKdTree` over
-/// the same entries.  Range queries union per-tile closed balls over every
-/// tile whose box intersects the ball; nearest queries visit tiles in
+/// `(slot, point)` set — identical for every grid over the same entries.
+/// Range queries union per-tile closed balls over every tile whose box
+/// intersects the ball; nearest queries visit tiles in
 /// box-distance order and never prune a tile that could tie the incumbent
 /// (see [`TileGrid`] on the pruning slack).  The dynamic shard oracle pins
 /// this equivalence edit-for-edit.
@@ -218,8 +229,8 @@ impl TileGrid {
 #[derive(Debug, Clone)]
 pub struct TiledKdForest {
     grid: TileGrid,
-    /// One dynamic index per tile (allocated lazily on first use — an empty
-    /// `DynamicKdTree` is cheap, so "lazily" just means `new(&[])`).
+    /// One dynamic index per tile (an empty tile's index is just
+    /// `DynamicKdTree::new(&[])`).
     tiles: Vec<DynamicKdTree>,
     /// slot → owning tile (`u32::MAX` when the slot is not live here).
     tile_of_slot: Vec<u32>,
@@ -328,7 +339,7 @@ impl TiledKdForest {
 
     /// Nearest live slot to `query` for which `skip` returns `false`, as
     /// `(slot, distance)` — distance ties break towards the smaller slot,
-    /// exactly like [`DynamicKdTree::nearest_filtered_slot`].
+    /// whatever the grid.
     pub fn nearest_filtered_slot<F: Fn(usize) -> bool>(
         &self,
         query: &Point,
@@ -425,7 +436,7 @@ mod tests {
         }
     }
 
-    /// Forest queries must agree with one global DynamicKdTree over the same
+    /// Forest queries must agree with one global index over the same
     /// live entries — range sets and filtered nearest, under churn.
     #[test]
     fn forest_matches_global_index_under_churn() {
@@ -433,13 +444,16 @@ mod tests {
         let grid = TileGrid::with_tiles_per_axis(&pts, 4).unwrap();
         let entries: Vec<(usize, Point)> = pts.iter().copied().enumerate().collect();
         let mut forest = TiledKdForest::new(grid, &entries);
+        let mut single = TiledKdForest::new(TileGrid::single(), &entries);
         let mut global = DynamicKdTree::new(&entries);
 
         let moves = pseudo_points(40, 13);
         for (i, p) in moves.iter().enumerate() {
             let slot = (i * 7) % pts.len();
             forest.update(slot, *p);
-            global.update(slot, *p);
+            single.update(slot, *p);
+            global.remove(slot);
+            global.insert(slot, *p);
 
             let query = Point::new(p.x * 0.5, p.y * 0.5);
             let mut scratch = Vec::new();
@@ -448,9 +462,15 @@ mod tests {
             let mut want = Vec::new();
             global.within_radius_with(&query, 20.0, &mut scratch, &mut want);
             assert_eq!(got, want, "range mismatch after move {i}");
+            single.within_radius_with(&query, 20.0, &mut scratch, &mut got);
+            assert_eq!(got, want, "single-tile range mismatch after move {i}");
 
             let got_near = forest.nearest_filtered_slot(&query, |s| s == slot);
             let want_near = global.nearest_filtered_slot(&query, |s| s == slot);
+            assert_eq!(
+                single.nearest_filtered_slot(&query, |s| s == slot),
+                want_near
+            );
             match (got_near, want_near) {
                 (Some((gs, gd)), Some((ws, wd))) => {
                     assert_eq!(gs, ws, "nearest slot mismatch after move {i}");
@@ -459,7 +479,8 @@ mod tests {
                 (a, b) => assert_eq!(a.is_none(), b.is_none(), "{a:?} vs {b:?}"),
             }
         }
-        assert_eq!(forest.len_live(), global.len_live());
+        assert_eq!(forest.len_live(), pts.len());
+        assert_eq!(single.occupied_tiles(), 1);
         assert!(forest.occupied_tiles() >= 1);
     }
 

@@ -7,22 +7,24 @@
 //! * **Insert** uses the classic vertex-insertion fact (Chin & Houck): a
 //!   minimum spanning tree of `P ∪ {q}` exists inside `T ∪ star(q)`, where
 //!   `T` is any MST of `P` and `star(q)` are the edges from `q` to every
-//!   point.  The cached tree edges are kept sorted, so one Kruskal pass over
-//!   the merge of two sorted lists (`n − 1` old edges, `n` star edges)
-//!   rebuilds the tree in O(n log n) with a tiny constant — no spatial
-//!   queries, no Borůvka rounds.
+//!   point.  Only a bounded star — the points within `max(d₁, lmax)` of
+//!   `q` — can enter the tree; those candidates are pruned by the cycle
+//!   property and swapped in against tree-path maxima, touching only the
+//!   neighbourhood of `q`.
 //! * **Remove** deletes the vertex's ≤ 5 incident edges, which splits the
 //!   tree into at most 5 components, every remaining tree edge still being
 //!   MST-valid (each stays a minimum edge across its own cut).  The repair is
 //!   a *localized Borůvka*: repeatedly take the smallest component and ask
-//!   the cached [`DynamicKdTree`] for its minimum outgoing edge
+//!   the spatial index for its minimum outgoing edge
 //!   (nearest-foreign queries per member), merging until one component
 //!   remains — at most 4 merges, each exact by the cut property.
 //! * **Move** is detach + re-attach under the same slot.
 //!
 //! Vertices are identified by stable **slots** (monotonically assigned
-//! `usize` ids); removed slots are tombstoned, and the spatial index compacts
-//! itself via [`DynamicKdTree`]'s threshold rebuilds.  After every edit the
+//! `usize` ids); removed slots are tombstoned.  The spatial index is always
+//! a [`TiledKdForest`] — one tile for an unsharded deployment, a grid of
+//! tiles for a sharded one — whose per-tile indexes compact themselves
+//! through threshold rebuilds.  After every edit the
 //! engine reports which live slots had their tree neighborhood changed
 //! ([`DynamicEmst::changed_slots`]) — the hook the incremental re-orientation
 //! in `antennae-core` keys its dirty set off.
@@ -33,85 +35,32 @@
 //! [`EuclideanMst::build`] — and its maximum degree is repaired to 5 with the
 //! same tie-exchange the static engine uses.
 
-use crate::euclidean::{EmstError, EuclideanMst, MAX_MST_DEGREE};
+use crate::euclidean::{degree_exchange, edge_order, EmstError, EuclideanMst, MAX_MST_DEGREE};
 use crate::graph::Graph;
 use crate::sharded::{build_sharded, StitchStats};
-use crate::union_find::UnionFind;
-use antennae_geometry::angular::{circular_gaps, sort_ccw};
-use antennae_geometry::{DynamicKdTree, Point, TileGrid, TiledKdForest};
+use antennae_geometry::{Point, TileGrid, TiledKdForest};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Inclusive widening applied to the bounded-star collection radius of the
-/// tiled attach path, so a star edge whose *weight* rounds to exactly the
+/// attach path, so a star edge whose *weight* rounds to exactly the
 /// radius can never be excluded by the squared-distance ball test.
 /// Supersets of the exact star are harmless: the Kruskal merge skips edges
 /// past the connection point via union-find, so extra candidates cannot
 /// change the take sequence.
 const STAR_SLACK: f64 = 1.0 + 4.0 * f64::EPSILON;
 
-/// The spatial index backing a [`DynamicEmst`]: one global kd-tree, or a
-/// per-tile forest when the engine was built sharded.  All query results are
-/// bit-identical between the two (the forest reproduces the global
-/// smaller-slot tie-break; see `antennae_geometry::tiles`); only the edit
-/// *cost profile* differs — the tiled variant localizes rebuild work to one
-/// tile and unlocks the bounded-star attach.
-#[derive(Debug, Clone)]
-enum SpatialIndex {
-    Global(DynamicKdTree),
-    Tiled(TiledKdForest),
-}
-
-impl SpatialIndex {
-    fn insert(&mut self, slot: usize, p: Point) {
-        match self {
-            SpatialIndex::Global(kd) => kd.insert(slot, p),
-            SpatialIndex::Tiled(forest) => forest.insert(slot, p),
-        }
-    }
-
-    fn remove(&mut self, slot: usize) {
-        match self {
-            SpatialIndex::Global(kd) => kd.remove(slot),
-            SpatialIndex::Tiled(forest) => forest.remove(slot),
-        }
-    }
-
-    fn within_radius_with(
-        &self,
-        query: &Point,
-        radius: f64,
-        scratch: &mut Vec<usize>,
-        out: &mut Vec<usize>,
-    ) {
-        match self {
-            SpatialIndex::Global(kd) => kd.within_radius_with(query, radius, scratch, out),
-            SpatialIndex::Tiled(forest) => forest.within_radius_with(query, radius, scratch, out),
-        }
-    }
-
-    fn nearest_filtered_slot<F: Fn(usize) -> bool>(
-        &self,
-        query: &Point,
-        skip: F,
-    ) -> Option<(usize, f64)> {
-        match self {
-            SpatialIndex::Global(kd) => kd.nearest_filtered_slot(query, skip),
-            SpatialIndex::Tiled(forest) => forest.nearest_filtered_slot(query, skip),
-        }
-    }
-}
-
 /// A tree edge in slot space, ordered by the engines' shared tie-broken
 /// total order `(weight, min slot, max slot)`.
 type SlotEdge = (f64, u32, u32);
 
-fn edge_order(a: SlotEdge, b: SlotEdge) -> std::cmp::Ordering {
-    a.0.total_cmp(&b.0)
-        .then_with(|| a.1.cmp(&b.1))
-        .then_with(|| a.2.cmp(&b.2))
-}
-
 fn make_edge(w: f64, a: usize, b: usize) -> SlotEdge {
     (w, a.min(b) as u32, a.max(b) as u32)
+}
+
+/// `(slot, point)` entries for a dense deployment (slot `i` = point `i`).
+fn dense_entries(points: &[Point]) -> Vec<(usize, Point)> {
+    points.iter().copied().enumerate().collect()
 }
 
 /// Errors reported by [`DynamicEmst`] edits.
@@ -143,11 +92,11 @@ pub struct DynamicEmst {
     live: usize,
     /// Slot-space tree adjacency, each list sorted ascending by slot.
     adj: Vec<Vec<(usize, f64)>>,
-    /// The tree's edges sorted by the shared `(w, min, max)` order — both
-    /// the cache the insert path's Kruskal merge runs against and the
-    /// source of `lmax` (its last entry).
+    /// The tree's edges sorted by the shared `(w, min, max)` order — the
+    /// source of `lmax` (its last entry) and of the materialized tree.
     sorted_edges: Vec<SlotEdge>,
-    index: SpatialIndex,
+    /// Spatial index over the live slots: one tile when unsharded.
+    index: TiledKdForest,
     /// Live slots whose tree neighborhood changed in the last edit.
     changed: Vec<usize>,
     /// Component-labeling scratch shared by [`DynamicEmst::reconnect`]
@@ -172,11 +121,11 @@ impl DynamicEmst {
     /// [`DynamicEmst::insert`] — the shape a long-running service needs when
     /// a deployment is registered before its first sensor arrives.
     pub fn new(points: &[Point]) -> Result<Self, EmstError> {
+        let index = TiledKdForest::new(TileGrid::single(), &dense_entries(points));
         if points.is_empty() {
-            return Ok(Self::empty(SpatialIndex::Global(DynamicKdTree::new(&[]))));
+            return Ok(Self::empty(index));
         }
         let initial = EuclideanMst::build(points)?;
-        let index = SpatialIndex::Global(DynamicKdTree::from_dense(points));
         Ok(Self::from_initial(points, &initial, index))
     }
 
@@ -184,10 +133,9 @@ impl DynamicEmst {
     /// comes from the sharded stitched builder ([`build_sharded`], which is
     /// bit-identical to [`EuclideanMst::build`]), and the spatial index is a
     /// per-tile [`TiledKdForest`] over `grid`.  Subsequent edits behave
-    /// edit-for-edit identically to a global engine — same tree bits, same
-    /// changed-slot sets — but rebuild work localizes to the owning tile and
-    /// inserts use a bounded star collected from a Lemma-1-scale ball instead
-    /// of an all-points star (the `n=10⁵` single-edit headline).
+    /// edit-for-edit identically to an unsharded engine — same tree bits,
+    /// same changed-slot sets — but index rebuild work localizes to the
+    /// owning tile.
     ///
     /// Also returns the initial build's [`StitchStats`] for telemetry.
     pub fn new_tiled(
@@ -205,16 +153,14 @@ impl DynamicEmst {
             stitched: false,
         };
         if points.is_empty() {
-            let forest = TiledKdForest::new(grid, &[]);
-            return Ok((Self::empty(SpatialIndex::Tiled(forest)), empty_stats));
+            return Ok((Self::empty(TiledKdForest::new(grid, &[])), empty_stats));
         }
         let (initial, stats) = build_sharded(points, &grid, threads)?;
-        let entries: Vec<(usize, Point)> = points.iter().copied().enumerate().collect();
-        let index = SpatialIndex::Tiled(TiledKdForest::new(grid, &entries));
+        let index = TiledKdForest::new(grid, &dense_entries(points));
         Ok((Self::from_initial(points, &initial, index), stats))
     }
 
-    fn empty(index: SpatialIndex) -> Self {
+    fn empty(index: TiledKdForest) -> Self {
         DynamicEmst {
             points: Vec::new(),
             alive: Vec::new(),
@@ -231,7 +177,7 @@ impl DynamicEmst {
         }
     }
 
-    fn from_initial(points: &[Point], initial: &EuclideanMst, index: SpatialIndex) -> Self {
+    fn from_initial(points: &[Point], initial: &EuclideanMst, index: TiledKdForest) -> Self {
         let n = points.len();
         let mut sorted_edges: Vec<SlotEdge> = initial
             .edges()
@@ -319,38 +265,32 @@ impl DynamicEmst {
         self.index.within_radius_with(query, radius, scratch, out);
     }
 
-    /// The tile grid of a tiled engine, `None` for a global one.
+    /// The tile grid of a sharded engine, `None` for an unsharded one (whose
+    /// index is a single tile).
     pub fn tile_grid(&self) -> Option<&TileGrid> {
-        match &self.index {
-            SpatialIndex::Global(_) => None,
-            SpatialIndex::Tiled(forest) => Some(forest.grid()),
-        }
+        let grid = self.index.grid();
+        (grid.tiles() > 1).then_some(grid)
     }
 
-    /// Occupied tile count of a tiled engine, `None` for a global one.
+    /// Occupied tile count of a sharded engine, `None` for an unsharded one.
     pub fn occupied_tiles(&self) -> Option<usize> {
-        match &self.index {
-            SpatialIndex::Global(_) => None,
-            SpatialIndex::Tiled(forest) => Some(forest.occupied_tiles()),
-        }
+        self.tile_grid()?;
+        Some(self.index.occupied_tiles())
     }
 
     /// Swaps the spatial index in place: `Some(grid)` re-tiles the engine
-    /// over that grid, `None` reverts to one global kd-tree.  The tree, the
+    /// over that grid, `None` reverts to a single tile.  The tree, the
     /// slots and every future edit result are unaffected — the index is a
-    /// pure acceleration structure and both variants answer queries
-    /// bit-identically — so this is how a deployment recovered by replay
-    /// (which starts empty, hence global) adopts its configured sharding
-    /// after the fact.
+    /// pure acceleration structure and answers queries bit-identically over
+    /// any grid — so this is how a deployment recovered by replay (which
+    /// starts empty, hence unsharded) adopts its configured sharding after
+    /// the fact.
     pub fn set_tile_grid(&mut self, grid: Option<TileGrid>) {
         let entries: Vec<(usize, Point)> = (0..self.points.len())
             .filter(|&s| self.alive[s])
             .map(|s| (s, self.points[s]))
             .collect();
-        self.index = match grid {
-            Some(grid) => SpatialIndex::Tiled(TiledKdForest::new(grid, &entries)),
-            None => SpatialIndex::Global(DynamicKdTree::new(&entries)),
-        };
+        self.index = TiledKdForest::new(grid.unwrap_or_else(TileGrid::single), &entries);
     }
 
     /// The live points in ascending slot order (what a shard spec resolves
@@ -435,105 +375,44 @@ impl DynamicEmst {
     }
 
     /// Connects `slot` (live, currently edge-less) to the spanning tree of
-    /// the other live slots via a Kruskal pass over the merge of the cached
-    /// sorted tree edges and `slot`'s sorted star.
+    /// the other live slots.
     ///
-    /// A global engine uses the full star (every live slot).  A tiled engine
-    /// collects a **bounded star** instead: with `d₁` the distance to the
-    /// nearest live sensor and `R = max(d₁, lmax)`, every star edge the
-    /// Kruskal merge can possibly *take* has weight ≤ `R` — once all old
-    /// tree edges (each ≤ `lmax`) and the edge to the nearest neighbour
-    /// (`d₁`) have been processed, the forest is fully connected and later
-    /// star edges are union-find no-ops.  Collecting the closed ball of
-    /// radius `R` (ulp-widened by [`STAR_SLACK`]) therefore reproduces the
-    /// full star's take sequence bit-for-bit while touching `O(ball)` points
-    /// instead of `O(n)`.
+    /// Only a **bounded star** can matter: with `d₁` the distance to the
+    /// nearest live sensor and `R = max(d₁, lmax)`, every star edge a
+    /// Kruskal pass over `merge(tree edges, star)` can possibly *take* has
+    /// weight ≤ `R` — once all old tree edges (each ≤ `lmax`) and the edge to
+    /// the nearest neighbour (`d₁`) have been processed, the forest is fully
+    /// connected and later star edges are union-find no-ops.  Collecting the
+    /// closed ball of radius `R` (ulp-widened by [`STAR_SLACK`]) therefore
+    /// reproduces the full star's result bit-for-bit while touching
+    /// `O(ball)` points instead of `O(n)`.
     fn attach(&mut self, slot: usize) {
         if self.live <= 1 {
             return;
         }
         let apex = self.points[slot];
-        match &self.index {
-            SpatialIndex::Global(_) => {
-                let mut star = Vec::with_capacity(self.live - 1);
-                for t in 0..self.points.len() {
-                    if t != slot && self.alive[t] {
-                        star.push(make_edge(apex.distance(&self.points[t]), slot, t));
-                    }
-                }
-                star.sort_unstable_by(|&a, &b| edge_order(a, b));
-                self.attach_merge(&star);
-            }
-            SpatialIndex::Tiled(forest) => {
-                let (_, d1) = forest
-                    .nearest_filtered_slot(&apex, |s| s == slot)
-                    .expect("live > 1, so a nearest foreign sensor exists");
-                let radius = d1.max(self.lmax()) * STAR_SLACK;
-                let mut scratch = Vec::new();
-                let mut ball = Vec::new();
-                forest.within_radius_with(&apex, radius, &mut scratch, &mut ball);
-                let mut star: Vec<SlotEdge> = ball
-                    .iter()
-                    .filter(|&&t| t != slot)
-                    .map(|&t| make_edge(apex.distance(&self.points[t]), slot, t))
-                    .collect();
-                star.sort_unstable_by(|&a, &b| edge_order(a, b));
-                self.attach_local(slot, &star);
-            }
-        }
+        let (_, d1) = self
+            .index
+            .nearest_filtered_slot(&apex, |s| s == slot)
+            .expect("live > 1, so a nearest foreign sensor exists");
+        let radius = d1.max(self.lmax()) * STAR_SLACK;
+        let mut ball = Vec::new();
+        self.index
+            .within_radius_with(&apex, radius, &mut Vec::new(), &mut ball);
+        let mut star: Vec<SlotEdge> = ball
+            .iter()
+            .filter(|&&t| t != slot)
+            .map(|&t| make_edge(apex.distance(&self.points[t]), slot, t))
+            .collect();
+        star.sort_unstable_by(|&a, &b| edge_order(a, b));
+        self.attach_local(slot, &star);
         self.repair_degrees();
     }
 
-    /// Global-engine attach: Kruskal over merge(old tree, full star), applied
-    /// *surgically* — the new tree differs from the old one only by the taken
-    /// star edges and the old edges they displace (k taken ⟹ exactly k − 1
-    /// displaced), so instead of rebuilding every adjacency list the handful
-    /// of insertions/evictions is recorded as it happens.  `new_edges` comes
-    /// out of the merge already in sorted edge order.
-    fn attach_merge(&mut self, star: &[SlotEdge]) {
-        let mut uf = UnionFind::new(self.points.len());
-        let mut new_edges: Vec<SlotEdge> = Vec::with_capacity(self.live - 1);
-        let (mut i, mut j) = (0usize, 0usize);
-        while new_edges.len() < self.live - 1 {
-            let take_old = match (self.sorted_edges.get(i), star.get(j)) {
-                (Some(&a), Some(&b)) => edge_order(a, b) == std::cmp::Ordering::Less,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            if take_old {
-                i += 1;
-                let e = self.sorted_edges[i - 1];
-                if uf.union(e.1 as usize, e.2 as usize) {
-                    new_edges.push(e);
-                } else {
-                    self.evict_adj(e);
-                }
-            } else {
-                j += 1;
-                let e = star[j - 1];
-                if uf.union(e.1 as usize, e.2 as usize) {
-                    new_edges.push(e);
-                    self.adj_insert(e.1 as usize, e.2 as usize, e.0);
-                    self.adj_insert(e.2 as usize, e.1 as usize, e.0);
-                    self.changed.push(e.1 as usize);
-                    self.changed.push(e.2 as usize);
-                }
-            }
-        }
-        // Old edges past the early exit close cycles in the completed tree
-        // (Kruskal would reject them); they leave the tree too.
-        while i < self.sorted_edges.len() {
-            self.evict_adj(self.sorted_edges[i]);
-            i += 1;
-        }
-        self.sorted_edges = new_edges;
-    }
-
-    /// Tiled-engine attach: exact vertex insertion without touching the rest
-    /// of the tree.  `star` is the sorted bounded star (see
-    /// [`DynamicEmst::attach`]); the final tree is the same unique MST the
-    /// global merge produces, via two exact reductions:
+    /// Exact vertex insertion without touching the rest of the tree.  `star`
+    /// is the sorted bounded star (see [`DynamicEmst::attach`]); the final
+    /// tree is the same unique MST a Kruskal pass over the merge of the tree
+    /// and the full star produces, via two exact reductions:
     ///
     /// 1. **Cycle-property pruning.**  A candidate `(v, u)` with a witness
     ///    `z` such that both `(v, z)` and `(z, u)` precede it in the shared
@@ -645,17 +524,6 @@ impl DynamicEmst {
             }
         }
         max
-    }
-
-    /// Drops a just-displaced old tree edge from both adjacency lists and
-    /// marks its endpoints changed (the sorted edge cache is replaced
-    /// wholesale by the caller).
-    fn evict_adj(&mut self, e: SlotEdge) {
-        let (a, b) = (e.1 as usize, e.2 as usize);
-        self.adj[a].retain(|&(v, _)| v != b);
-        self.adj[b].retain(|&(v, _)| v != a);
-        self.changed.push(a);
-        self.changed.push(b);
     }
 
     /// Removes `slot`'s incident edges and reconnects the resulting ≤ 5
@@ -826,10 +694,8 @@ impl DynamicEmst {
         self.sorted_edges.remove(pos);
     }
 
-    /// The same local tie-exchange the static engine runs: while some vertex
-    /// exceeds degree 5 (only possible under exact 60°/equal-length ties),
-    /// replace the longer of its two angularly closest star edges by the
-    /// edge between the two neighbours.
+    /// The static engine's degree repair ([`degree_exchange`], smallest
+    /// violating slot first) over the slots the current edit touched.
     ///
     /// Only slots whose degree changed in the current edit can newly violate
     /// (the previous repair left none), and every such slot is in the
@@ -838,10 +704,10 @@ impl DynamicEmst {
     /// reproduces the smallest-violating-slot-first order of a full
     /// ascending scan exactly.
     fn repair_degrees(&mut self) {
-        let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<usize>> =
-            self.changed.iter().map(|&v| std::cmp::Reverse(v)).collect();
+        let mut heap: BinaryHeap<Reverse<usize>> =
+            self.changed.iter().copied().map(Reverse).collect();
         let mut budget = 4 * self.live + 16;
-        while let Some(std::cmp::Reverse(v)) = heap.pop() {
+        while let Some(Reverse(v)) = heap.pop() {
             if !self.alive.get(v).copied().unwrap_or(false) || self.adj[v].len() <= MAX_MST_DEGREE {
                 continue;
             }
@@ -849,22 +715,8 @@ impl DynamicEmst {
                 return;
             }
             budget -= 1;
-            let neighbor_ids: Vec<usize> = self.adj[v].iter().map(|&(u, _)| u).collect();
-            let neighbor_pts: Vec<Point> = neighbor_ids.iter().map(|&u| self.points[u]).collect();
-            let sorted = sort_ccw(&self.points[v], &neighbor_pts);
-            let gaps = circular_gaps(&sorted);
-            let d = sorted.len();
-            let (closest_pair_idx, _) = gaps
-                .iter()
-                .enumerate()
-                .min_by(|a, b| a.1.total_cmp(b.1))
-                .expect("degree > 5 vertex has neighbours");
-            let a = neighbor_ids[sorted[closest_pair_idx].index];
-            let b = neighbor_ids[sorted[(closest_pair_idx + 1) % d].index];
-            let da = self.points[v].distance(&self.points[a]);
-            let db = self.points[v].distance(&self.points[b]);
-            let drop_endpoint = if da >= db { a } else { b };
-            let dropped_w = if da >= db { da } else { db };
+            let (drop_endpoint, a, b) = degree_exchange(&self.points, v, &self.adj[v]);
+            let dropped_w = self.points[v].distance(&self.points[drop_endpoint]);
             self.adj[v].retain(|&(u, _)| u != drop_endpoint);
             self.adj[drop_endpoint].retain(|&(u, _)| u != v);
             self.remove_sorted(make_edge(dropped_w, v, drop_endpoint));
@@ -875,9 +727,7 @@ impl DynamicEmst {
             self.changed.push(v);
             self.changed.push(a);
             self.changed.push(b);
-            heap.push(std::cmp::Reverse(v));
-            heap.push(std::cmp::Reverse(a));
-            heap.push(std::cmp::Reverse(b));
+            heap.extend([Reverse(v), Reverse(a), Reverse(b)]);
         }
     }
 
@@ -1070,8 +920,8 @@ mod tests {
         assert_eq!(emst.live_slots(), vec![0, 1, 3, 4]);
     }
 
-    /// A tiled engine must be **edit-for-edit bit-identical** to a global
-    /// one: same sorted edge cache (weights compared by bits), same changed
+    /// A tiled engine must be **edit-for-edit bit-identical** to an
+    /// unsharded (single-tile) one: same sorted edge cache (weights compared by bits), same changed
     /// sets, same lmax/total-weight bits after every edit.
     #[test]
     fn tiled_engine_matches_global_edit_for_edit() {

@@ -48,6 +48,7 @@ use antennae_geometry::angular::{circular_gaps, sort_ccw};
 use antennae_geometry::{KdIndex, Point};
 use antennae_parallel::{chunk_ranges, default_threads, parallel_map};
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 
 /// Maximum vertex degree the orientation algorithms assume (`Δ(T) ≤ 5`).
 pub const MAX_MST_DEGREE: usize = 5;
@@ -469,65 +470,89 @@ fn dense_prim(points: &[Point]) -> Vec<Edge> {
 /// below this the thread-scope setup dwarfs the queries themselves.
 pub(crate) const PARALLEL_BORUVKA_MIN: usize = 4096;
 
+/// A candidate edge as `(weight, min endpoint, max endpoint)`, compared by
+/// [`edge_order`].
+pub(crate) type Candidate = (f64, usize, usize);
+
+/// What one scan over a slice of the component-sorted vertex order found:
+/// `(root, candidate)` winners, one per contiguous same-root run in the
+/// slice, and `(v, nearest foreigner)` facts for the cross-round cache.
+pub(crate) type RunScan = (Vec<(usize, Candidate)>, Vec<(usize, (usize, f64))>);
+
 /// Kd-tree Borůvka over the implicit complete Euclidean graph.
 ///
-/// Each round relabels every vertex with its component root, asks the kd-tree
-/// for every vertex's nearest *foreign* point ([`KdIndex::nearest_foreign`]),
-/// keeps the minimal candidate edge per component, and merges.  Candidate
-/// edges are compared by the total order `(weight, min endpoint, max
-/// endpoint)`; because the kd-tree breaks distance ties towards the smaller
-/// index, each component's winner is *the* minimum outgoing edge under that
-/// order, which makes the procedure the plain Borůvka algorithm on a graph
-/// with all-distinct (tie-perturbed) weights: no cycles form, and the result
-/// is a true MST even for duplicate points and exact-tie lattices.
-///
-/// The component count at least halves per round, so there are O(log n)
-/// rounds of n pruned nearest-neighbour queries each.  With `threads > 1`
-/// each round's scan is chunked over [`chunk_ranges`] and the per-chunk
-/// winners merged serially; the per-component minimum under the total order
-/// is the same whatever the chunking (see [`scan_run`]), so every thread
-/// count yields the identical edge list, bit for bit.
+/// Each round asks the kd-tree for every vertex's nearest *foreign* point
+/// ([`KdIndex::nearest_foreign`]), keeps the minimal candidate edge per
+/// component and merges (see [`boruvka_rounds`]).  Because the kd-tree
+/// breaks distance ties towards the smaller index, each component's winner
+/// is *the* minimum outgoing edge under [`edge_order`], which makes the
+/// procedure the plain Borůvka algorithm on a graph with all-distinct
+/// (tie-perturbed) weights: no cycles form, and the result is a true MST
+/// even for duplicate points and exact-tie lattices.  With `threads > 1`
+/// the index build and every round's scan fan out, and every thread count
+/// yields the identical edge list, bit for bit.
 pub(crate) fn kd_boruvka(points: &[Point], threads: usize) -> Vec<Edge> {
-    let n = points.len();
-    // The index borrows `points` — the MST build path holds no extra copy of
-    // the point set (the earlier owning `KdTree` doubled point storage,
-    // which at a million sensors is 16 MB of needless resident memory).
-    let tree = KdIndex::build_with_threads(points, threads);
+    // The index borrows `points`: the MST build path holds no extra copy of
+    // the point set.
+    let index = KdIndex::build_with_threads(points, threads);
+    let (edges, _) = boruvka_rounds(points.len(), threads, |labels, cache, order| {
+        let nearest = |v: usize, root: usize, bound: f64| {
+            index.nearest_foreign_within(points, &points[v], labels, root, bound)
+        };
+        scan_runs(labels, cache, order, |_, _| None, nearest)
+    });
+    edges
+}
+
+/// The Borůvka round loop shared by the kd engine and the sharded stitch
+/// (`crate::sharded`); the callers differ only in their `scan` closure.
+/// Returns the spanning edges and the number of rounds.
+///
+/// Each round relabels every vertex with its component root, sorts the
+/// vertices by label so each component is one contiguous run, and calls
+/// `scan(labels, cache, run slice)` for per-run winners — over the whole
+/// order, or with `threads > 1` chunked over [`chunk_ranges`] and fanned
+/// out with [`parallel_map`].  A run straddling a chunk boundary yields one
+/// winner per fragment; the fragments are reconciled here under
+/// [`edge_order`], which gives the same per-component minimum whatever the
+/// chunking (see [`scan_runs`]).  The winners are then unioned in edge
+/// order.  The component count at least halves per round, so there are
+/// O(log n) rounds.
+///
+/// `cache[v]` is v's exact nearest foreign point from an earlier round.
+/// Components only ever merge, so a cached point stays v's nearest
+/// foreigner for as long as it remains foreign; only vertices whose
+/// candidate got absorbed query the index again.
+pub(crate) fn boruvka_rounds<S>(n: usize, threads: usize, scan: S) -> (Vec<Edge>, usize)
+where
+    S: Fn(&[usize], &[Option<(usize, f64)>], &[usize]) -> RunScan + Sync,
+{
     let mut uf = UnionFind::new(n);
     let mut labels = vec![0usize; n];
-    let mut edges = Vec::with_capacity(n - 1);
-    // Cross-round cache: `cache[v]` is v's exact nearest foreign point from
-    // an earlier round.  Components only ever merge, so the cached point
-    // stays v's exact nearest foreigner for as long as it remains foreign —
-    // only vertices whose candidate got absorbed re-query the tree.
+    let mut edges = Vec::with_capacity(n.saturating_sub(1));
     let mut cache: Vec<Option<(usize, f64)>> = vec![None; n];
-    // Vertices grouped by component so that a component's current-best
-    // distance can seed (bound) its later members' searches.
     let mut order: Vec<usize> = (0..n).collect();
-    // Round-persistent scratch, allocated once and reset through `touched`
-    // instead of reallocated every round: the minimal outgoing candidate per
-    // component root as (weight, min endpoint, max endpoint), and the roots
-    // written this round.
-    let mut best: Vec<Option<(f64, usize, usize)>> = vec![None; n];
+    // Round-persistent scratch, reset through `touched` instead of
+    // reallocated every round: the minimal candidate per component root,
+    // and the roots written this round.
+    let mut best: Vec<Option<Candidate>> = vec![None; n];
     let mut touched: Vec<usize> = Vec::new();
-    let mut round: Vec<(f64, usize, usize)> = Vec::new();
+    let mut round: Vec<Candidate> = Vec::new();
+    let mut rounds = 0usize;
 
     while uf.component_count() > 1 {
+        rounds += 1;
         for (v, label) in labels.iter_mut().enumerate() {
             *label = uf.find(v);
         }
         order.sort_unstable_by_key(|&v| labels[v]);
-        // Scan for every vertex's candidate edge, grouped into per-run
-        // winners.  The parallel path chunks the sorted order; a component
-        // run that straddles a chunk boundary simply produces one winner per
-        // fragment, reconciled in the merge below.
         let scans: Vec<RunScan> = if threads > 1 && n >= PARALLEL_BORUVKA_MIN {
             let ranges = chunk_ranges(n, threads);
             parallel_map(&ranges, threads, |&(start, end)| {
-                scan_run(points, &tree, &labels, &cache, &order[start..end])
+                scan(&labels, &cache, &order[start..end])
             })
         } else {
-            vec![scan_run(points, &tree, &labels, &cache, &order)]
+            vec![scan(&labels, &cache, &order)]
         };
         for (winners, cache_updates) in scans {
             // Chunks cover disjoint vertex sets (each v appears once in
@@ -538,7 +563,7 @@ pub(crate) fn kd_boruvka(points: &[Point], threads: usize) -> Vec<Edge> {
             for (root, candidate) in winners {
                 match &mut best[root] {
                     Some(b) => {
-                        if edge_order(candidate, *b) == std::cmp::Ordering::Less {
+                        if edge_order(candidate, *b) == Ordering::Less {
                             *b = candidate;
                         }
                     }
@@ -568,98 +593,130 @@ pub(crate) fn kd_boruvka(points: &[Point], threads: usize) -> Vec<Edge> {
             "every Borůvka round merges at least two components"
         );
     }
-    edges
+    (edges, rounds)
 }
 
-/// Per-run winners and newly learned nearest-foreigner facts from one scan
-/// over a slice of the component-sorted vertex order: `(root, candidate)`
-/// pairs (one per contiguous same-root run in the slice) and `(v, nearest
-/// foreigner)` cache updates.
-type RunScan = (
-    Vec<(usize, (f64, usize, usize))>,
-    Vec<(usize, (usize, f64))>,
-);
-
-/// Scans one slice of the component-sorted vertex order for candidate edges.
+/// Scans one slice of the component-sorted vertex order for candidate
+/// edges: per contiguous same-root run, the minimum under [`edge_order`] of
+/// every member's `extra(v, root)` candidate and its nearest foreign point
+/// `nearest(v, root, bound)` — the closest point outside v's component, at
+/// distance `bound` or closer.  The kd engine passes no extra candidates
+/// and a plain nearest-foreign query; the sharded stitch passes the
+/// tile-tree edges and a query that also skips same-tile points.
 ///
-/// Within a contiguous same-root run the running best distance seeds
-/// (bounds) later members' searches — a farther point cannot win the run
-/// anyway, and points at exactly the bound are still found.  A bounded query
-/// that returns `None` merely means "cannot beat the run's best"; a `Some`
-/// is the vertex's true nearest foreigner (the bound only hides strictly
-/// farther points) and is recorded as a cache update.
+/// Within a run the running best distance seeds (bounds) later members'
+/// searches — a farther point cannot win the run anyway, and points at
+/// exactly the bound are still found.  A bounded query that returns `None`
+/// merely means "cannot beat the run's best"; a `Some` is the vertex's true
+/// nearest foreigner (the bound only hides strictly farther points) and is
+/// recorded as a cache update.
 ///
 /// **Chunking invariance:** splitting a component's run across chunks only
 /// weakens the seeding bounds (each fragment starts from ∞), which can make
 /// more queries return `Some` — but every `Some` is the exact per-vertex
 /// nearest foreigner, so the per-root minimum of the merged fragment winners
-/// under [`edge_order`] equals the single-scan winner.  Cache contents may
-/// likewise differ across thread counts, but a cache entry is only ever an
-/// exact nearest foreigner and is used only while still foreign, when a
-/// fresh query would return the very same pair.  Hence the merged result —
-/// and therefore the whole MST — is bit-identical for every chunking.
-fn scan_run(
-    points: &[Point],
-    tree: &KdIndex,
+/// equals the single-scan winner.  Cache contents may likewise differ across
+/// thread counts, but a cache entry is only ever an exact nearest foreigner
+/// and is used only while still foreign, when a fresh query would return
+/// the very same pair.  Hence the merged result — and therefore the whole
+/// MST — is bit-identical for every chunking.
+pub(crate) fn scan_runs<E, Q>(
     labels: &[usize],
     cache: &[Option<(usize, f64)>],
     order: &[usize],
-) -> RunScan {
-    let mut winners: Vec<(usize, (f64, usize, usize))> = Vec::new();
+    extra: E,
+    nearest: Q,
+) -> RunScan
+where
+    E: Fn(usize, usize) -> Option<Candidate>,
+    Q: Fn(usize, usize, f64) -> Option<(usize, f64)>,
+{
+    let mut winners: Vec<(usize, Candidate)> = Vec::new();
     let mut cache_updates: Vec<(usize, (usize, f64))> = Vec::new();
     // The current contiguous run's root and its best candidate so far.
-    let mut current: Option<(usize, (f64, usize, usize))> = None;
+    let mut current: Option<(usize, Candidate)> = None;
     for &v in order {
         let root = labels[v];
-        let bound = match current {
-            Some((r, (d, _, _))) if r == root => d,
+        let mut best = match current {
+            Some((r, b)) if r == root => Some(b),
             _ => {
                 // A new run begins: flush the finished one.
-                if let Some(done) = current.take() {
-                    winners.push(done);
-                }
-                f64::INFINITY
+                winners.extend(current.take());
+                None
             }
         };
-        let candidate = match cache[v] {
+        if let Some(candidate) = extra(v, root) {
+            best = Some(min_candidate(best, candidate));
+        }
+        let found = match cache[v] {
             Some((u, d)) if labels[u] != root => Some((u, d)),
             _ => {
-                let found = tree.nearest_foreign_within(points, &points[v], labels, root, bound);
-                if let Some(f) = found {
-                    cache_updates.push((v, f));
-                }
+                let found = nearest(v, root, best.map_or(f64::INFINITY, |(d, _, _)| d));
+                cache_updates.extend(found.map(|f| (v, f)));
                 found
             }
         };
-        let Some((u, d)) = candidate else {
-            continue;
-        };
-        let candidate = (d, v.min(u), v.max(u));
-        match &mut current {
-            Some((r, b)) if *r == root => {
-                if edge_order(candidate, *b) == std::cmp::Ordering::Less {
-                    *b = candidate;
-                }
-            }
-            _ => current = Some((root, candidate)),
+        if let Some((u, d)) = found {
+            best = Some(min_candidate(best, (d, v.min(u), v.max(u))));
+        }
+        if let Some(b) = best {
+            current = Some((root, b));
         }
     }
-    if let Some(done) = current {
-        winners.push(done);
-    }
+    winners.extend(current);
     (winners, cache_updates)
 }
 
-/// The tie-broken total order on candidate edges shared by both engines.
-pub(crate) fn edge_order(a: (f64, usize, usize), b: (f64, usize, usize)) -> std::cmp::Ordering {
+/// The smaller of an optional incumbent and a candidate under
+/// [`edge_order`].
+pub(crate) fn min_candidate(best: Option<Candidate>, candidate: Candidate) -> Candidate {
+    match best {
+        Some(b) if edge_order(b, candidate) != Ordering::Greater => b,
+        _ => candidate,
+    }
+}
+
+/// The tie-broken total order on candidate edges `(weight, min endpoint,
+/// max endpoint)` shared by the static engines, the sharded stitch and the
+/// dynamic engine (which keys edges by `u32` slots).
+pub(crate) fn edge_order<T: Ord>(a: (f64, T, T), b: (f64, T, T)) -> Ordering {
     a.0.total_cmp(&b.0)
         .then_with(|| a.1.cmp(&b.1))
         .then_with(|| a.2.cmp(&b.2))
 }
 
-/// Local exchange pass that reduces vertices of degree > 5 (which can only
-/// arise from exact 60° / equal-length ties) without increasing the tree
-/// weight by more than floating-point noise.
+/// The degree-5 tie exchange at a vertex `v` of degree > 5 (which can only
+/// arise from exact 60° / equal-length ties): among `v`'s `neighbors`, the
+/// angularly closest adjacent pair `(a, b)` in counterclockwise order, and
+/// the endpoint of the longer of `(v, a)`, `(v, b)` to drop.  Replacing
+/// that edge by `(a, b)` keeps the tree spanning without increasing its
+/// weight by more than floating-point noise.  Returns `(drop, a, b)`.
+///
+/// Both degree-repair passes — [`repair_degree`] on a static tree and the
+/// dynamic engine's — call this, visiting violators smallest-first.
+pub(crate) fn degree_exchange(
+    points: &[Point],
+    v: usize,
+    neighbors: &[(usize, f64)],
+) -> (usize, usize, usize) {
+    let neighbor_pts: Vec<Point> = neighbors.iter().map(|&(u, _)| points[u]).collect();
+    let sorted = sort_ccw(&points[v], &neighbor_pts);
+    let gaps = circular_gaps(&sorted);
+    let (closest, _) = gaps
+        .iter()
+        .enumerate()
+        .min_by(|a, b| a.1.total_cmp(b.1))
+        .expect("degree > 5 vertex has neighbours");
+    let a = neighbors[sorted[closest].index].0;
+    let b = neighbors[sorted[(closest + 1) % sorted.len()].index].0;
+    let da = points[v].distance(&points[a]);
+    let db = points[v].distance(&points[b]);
+    let drop = if da >= db { a } else { b };
+    (drop, a, b)
+}
+
+/// Local exchange pass that reduces every vertex of degree > 5 with
+/// [`degree_exchange`], smallest violating vertex first.
 pub(crate) fn repair_degree(points: &[Point], tree: &mut Graph) {
     let n = points.len();
     // A generous iteration cap: each exchange strictly reduces the number of
@@ -674,25 +731,8 @@ pub(crate) fn repair_degree(points: &[Point], tree: &mut Graph) {
             return;
         }
         budget -= 1;
-        // Sort v's neighbours counterclockwise and find the angularly closest
-        // adjacent pair.
-        let neighbor_ids: Vec<usize> = tree.neighbors(v).iter().map(|&(u, _)| u).collect();
-        let neighbor_pts: Vec<Point> = neighbor_ids.iter().map(|&u| points[u]).collect();
-        let sorted = sort_ccw(&points[v], &neighbor_pts);
-        let gaps = circular_gaps(&sorted);
-        let d = sorted.len();
-        let (closest_pair_idx, _) = gaps
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.total_cmp(b.1))
-            .expect("degree > 5 vertex has neighbours");
-        let a = neighbor_ids[sorted[closest_pair_idx].index];
-        let b = neighbor_ids[sorted[(closest_pair_idx + 1) % d].index];
-        // Replace the longer of (v,a),(v,b) by (a,b).
-        let da = points[v].distance(&points[a]);
-        let db = points[v].distance(&points[b]);
-        let drop_endpoint = if da >= db { a } else { b };
-        tree.remove_edge(v, drop_endpoint);
+        let (drop, a, b) = degree_exchange(points, v, tree.neighbors(v));
+        tree.remove_edge(v, drop);
         tree.add_edge(a, b, points[a].distance(&points[b]));
     }
 }

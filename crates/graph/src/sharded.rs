@@ -21,10 +21,12 @@
 //!    as the global build.
 //! 3. **Stitch = Borůvka on `H`.**  Since `T* ⊆ H ⊆` complete graph and the
 //!    MST is unique, `MST(H) = T*`.  The stitch runs plain Borůvka from
-//!    singletons over `H`: each vertex's candidate edges are its tile-tree
-//!    edges (scanned directly) plus its nearest *cross-tile* foreign point
-//!    (a bounded kd query whose smaller-index distance tie-break yields the
-//!    minimal candidate key, the same argument the global engine uses).
+//!    singletons over `H` — the global engine's own round loop with a
+//!    different per-vertex scan: each vertex's candidate edges are its
+//!    tile-tree edges (scanned directly) plus its nearest *cross-tile*
+//!    foreign point (a bounded kd query whose smaller-index distance
+//!    tie-break yields the minimal candidate key, the same argument the
+//!    global engine uses).
 //!    Per-tile MST edges are candidates, never seeds — a tile-MST edge need
 //!    not lie in `T*`, so no edge is accepted without winning a cut.
 //!
@@ -37,17 +39,12 @@
 //! workloads across tile sizes and thread counts.
 
 use crate::euclidean::{
-    edge_order, kd_boruvka, EmstError, EuclideanMst, MstEngine, PARALLEL_BORUVKA_MIN,
+    boruvka_rounds, kd_boruvka, min_candidate, scan_runs, EmstError, EuclideanMst, MstEngine,
 };
 use crate::graph::Edge;
-use crate::union_find::UnionFind;
 use antennae_geometry::tiles::TileGrid;
 use antennae_geometry::{KdIndex, Point};
-use antennae_parallel::{chunk_ranges, parallel_map};
-
-/// One stitch-round winner: a component root paired with its minimal
-/// candidate edge under the `(weight, min endpoint, max endpoint)` order.
-type StitchCandidate = (usize, (f64, usize, usize));
+use antennae_parallel::parallel_map;
 
 /// What a [`build_sharded`] run did — telemetry for STATS, the sim
 /// comparison and the oracle tests.
@@ -133,71 +130,29 @@ pub fn build_sharded(
         tile_adj[e.v].push((e.u as u32, e.weight));
     }
 
+    // The stitch is the shared Borůvka round loop with one more candidate
+    // source per vertex: its tile-tree edges leaving the component are
+    // scanned directly, and the nearest-foreigner query skips same-tile
+    // points (those pairs are covered by the tile trees).
     let index = KdIndex::build_with_threads(points, threads);
-    let mut uf = UnionFind::new(n);
-    let mut labels = vec![0usize; n];
-    let mut order: Vec<usize> = (0..n).collect();
-    let mut best: Vec<Option<(f64, usize, usize)>> = vec![None; n];
-    let mut touched: Vec<usize> = Vec::new();
-    let mut round: Vec<(f64, usize, usize)> = Vec::new();
-    let mut edges: Vec<Edge> = Vec::with_capacity(n - 1);
-    let mut rounds = 0usize;
-
-    while uf.component_count() > 1 {
-        rounds += 1;
-        for (v, label) in labels.iter_mut().enumerate() {
-            *label = uf.find(v);
-        }
-        order.sort_unstable_by_key(|&v| labels[v]);
-        let scans: Vec<Vec<StitchCandidate>> = if threads > 1 && n >= PARALLEL_BORUVKA_MIN {
-            let ranges = chunk_ranges(n, threads);
-            parallel_map(&ranges, threads, |&(start, end)| {
-                stitch_scan(
-                    points,
-                    &index,
-                    &labels,
-                    &tile_of,
-                    &tile_adj,
-                    &order[start..end],
-                )
-            })
-        } else {
-            vec![stitch_scan(
-                points, &index, &labels, &tile_of, &tile_adj, &order,
-            )]
-        };
-        for winners in scans {
-            for (root, candidate) in winners {
-                match &mut best[root] {
-                    Some(b) => {
-                        if edge_order(candidate, *b) == std::cmp::Ordering::Less {
-                            *b = candidate;
-                        }
-                    }
-                    slot => {
-                        touched.push(root);
-                        *slot = Some(candidate);
-                    }
+    let (edges, rounds) = boruvka_rounds(n, threads, |labels, cache, order| {
+        let tile_edges = |v: usize, root: usize| {
+            let mut best = None;
+            for &(u, w) in &tile_adj[v] {
+                let u = u as usize;
+                if labels[u] != root {
+                    best = Some(min_candidate(best, (w, v.min(u), v.max(u))));
                 }
             }
-        }
-        round.clear();
-        for &root in &touched {
-            round.extend(best[root].take());
-        }
-        touched.clear();
-        round.sort_by(|&a, &b| edge_order(a, b));
-        let before = uf.component_count();
-        for &(d, a, b) in &round {
-            if uf.union(a, b) {
-                edges.push(Edge::new(a, b, d));
-            }
-        }
-        debug_assert!(
-            uf.component_count() < before,
-            "every stitch round merges at least two components"
-        );
-    }
+            best
+        };
+        let nearest_cross_tile = |v: usize, root: usize, bound: f64| {
+            let tile = tile_of[v];
+            let skip = |u: usize| tile_of[u] == tile || labels[u] == root;
+            index.nearest_filtered_within(points, &points[v], skip, bound)
+        };
+        scan_runs(labels, cache, order, tile_edges, nearest_cross_tile)
+    });
 
     let cross_edges = edges
         .iter()
@@ -214,76 +169,6 @@ pub fn build_sharded(
         stitched: true,
     };
     Ok((mst, stats))
-}
-
-/// One stitch round's scan over a slice of the component-sorted vertex
-/// order: per contiguous same-root run, the minimum outgoing `H` edge among
-/// (a) the run members' tile-tree edges leaving the component and (b) each
-/// member's nearest cross-tile foreign point, queried with the run's
-/// current best distance as an inclusive bound (exactly the seeding the
-/// global engine's `scan_run` uses, with the same chunking-invariance
-/// argument: fragment winners merge to the same per-root minimum).
-fn stitch_scan(
-    points: &[Point],
-    index: &KdIndex,
-    labels: &[usize],
-    tile_of: &[u32],
-    tile_adj: &[Vec<(u32, f64)>],
-    order: &[usize],
-) -> Vec<StitchCandidate> {
-    let mut winners: Vec<StitchCandidate> = Vec::new();
-    let mut current: Option<(usize, (f64, usize, usize))> = None;
-    for &v in order {
-        let root = labels[v];
-        match current {
-            Some((r, _)) if r == root => {}
-            _ => {
-                if let Some(done) = current.take() {
-                    winners.push(done);
-                }
-            }
-        }
-        let mut local_best: Option<(f64, usize, usize)> = match current {
-            Some((r, b)) if r == root => Some(b),
-            _ => None,
-        };
-        // (a) tile-tree edges leaving the component.
-        for &(u, w) in &tile_adj[v] {
-            let u = u as usize;
-            if labels[u] == root {
-                continue;
-            }
-            let candidate = (w, v.min(u), v.max(u));
-            if local_best.is_none_or(|b| edge_order(candidate, b) == std::cmp::Ordering::Less) {
-                local_best = Some(candidate);
-            }
-        }
-        // (b) nearest cross-tile foreign point, bounded by the best so far.
-        // The bound is inclusive (points at exactly the bound are still
-        // reported), so an equal-distance candidate with a smaller edge key
-        // is never hidden; `None` only ever means "strictly farther".
-        let bound = local_best.map_or(f64::INFINITY, |(d, _, _)| d);
-        let tile = tile_of[v];
-        let found = index.nearest_filtered_within(
-            points,
-            &points[v],
-            |u| tile_of[u] == tile || labels[u] == root,
-            bound,
-        );
-        if let Some((u, d)) = found {
-            let candidate = (d, v.min(u), v.max(u));
-            if local_best.is_none_or(|b| edge_order(candidate, b) == std::cmp::Ordering::Less) {
-                local_best = Some(candidate);
-            }
-        }
-        if let Some(b) = local_best {
-            current = Some((root, b));
-        }
-    }
-    if let Some(done) = current {
-        winners.push(done);
-    }
-    winners
 }
 
 #[cfg(test)]

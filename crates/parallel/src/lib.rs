@@ -9,8 +9,8 @@
 //!
 //! This crate sits at the bottom of the dependency graph (it depends on
 //! nothing) precisely so that the geometry and graph substrates can fan work
-//! out without reaching *up* into `antennae-core`; `antennae_core::parallel`
-//! re-exports everything here, so existing import paths keep working.
+//! out without reaching *up* into `antennae-core`; every crate above it
+//! imports it directly.
 //!
 //! Work items are pulled off a shared atomic counter by
 //! `std::thread::scope` workers, so no item is processed twice and results

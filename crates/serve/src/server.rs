@@ -23,15 +23,19 @@
 use crate::pool::{SubmitOutcome, WorkerPool};
 use crate::protocol::{ErrorCode, ProtocolError, Response, MAX_LINE_BYTES};
 use crate::service::Service;
-use antennae_core::parallel::default_threads;
+use antennae_parallel::default_threads;
 use std::io::{BufWriter, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, Weak};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The retry hint the shed path puts on the wire, milliseconds.
 const RETRY_AFTER_MS: u64 = 100;
+
+/// How long shutdown waits for in-flight replies to be written before it
+/// closes the remaining connections outright.
+const SHUTDOWN_GRACE: Duration = Duration::from_secs(2);
 
 /// Robustness knobs for the TCP front door.
 #[derive(Debug, Clone)]
@@ -110,9 +114,10 @@ impl Server {
         &self.service
     }
 
-    /// Serves until a `SHUTDOWN` request is accepted, then force-closes the
-    /// surviving connections, drains the pool and returns.  Blocks the
-    /// calling thread.
+    /// Serves until a `SHUTDOWN` request is accepted, then closes the read
+    /// side of every surviving connection, lets in-flight replies finish
+    /// (force-closing whatever is still open after a two-second grace),
+    /// drains the pool and returns.  Blocks the calling thread.
     pub fn run(self) -> std::io::Result<()> {
         let pool = match self.config.max_queue {
             Some(cap) => WorkerPool::bounded(self.config.threads, cap),
@@ -177,15 +182,24 @@ impl Server {
                 break;
             }
         }
-        // Kick every worker out of its blocking read so the pool can drain.
-        for weak in connections
-            .lock()
-            .expect("connection registry poisoned")
-            .drain(..)
-        {
-            if let Some(stream) = weak.upgrade() {
-                let _ = stream.shutdown(Shutdown::Both);
-            }
+        // Kick every worker out of its blocking read so the pool can drain,
+        // but leave the write halves open: a reply already computed — above
+        // all the SHUTDOWN answer itself — must still reach its client.
+        let live = || -> Vec<Arc<TcpStream>> {
+            let connections = connections.lock().expect("connection registry poisoned");
+            connections.iter().filter_map(Weak::upgrade).collect()
+        };
+        for stream in live() {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+        // A client that never reads can block its worker in a write; once
+        // the grace period is over, close whatever is left outright.
+        let deadline = Instant::now() + SHUTDOWN_GRACE;
+        while !live().is_empty() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        for stream in live() {
+            let _ = stream.shutdown(Shutdown::Both);
         }
         pool.shutdown();
         match accept_error {
@@ -230,8 +244,11 @@ impl ServerHandle {
         &self.service
     }
 
-    /// Requests shutdown and joins the accept thread.  Live connections are
-    /// force-closed by the accept loop on its way out.
+    /// Requests shutdown and joins the accept thread.  On its way out the
+    /// accept loop closes the read side of every live connection, lets
+    /// in-flight replies finish and force-closes whatever is still open
+    /// after a two-second grace, so this call can block up to that long
+    /// beyond the drain itself.
     pub fn stop(mut self) -> std::io::Result<()> {
         self.service.request_shutdown();
         // A throwaway connection unblocks the (blocking) `accept` so the
@@ -459,5 +476,69 @@ mod tests {
         assert!(lines[4].starts_with("OK query p n=4"), "{}", lines[4]);
         assert_eq!(lines[5], "OK pong");
         handle.stop().unwrap();
+    }
+
+    /// A `SHUTDOWN` reply must reach its client even while another
+    /// connection is open: that connection's worker leaving mid-drain wakes
+    /// the accept loop into its close-everything pass, which used to cut the
+    /// reply off before it was flushed.
+    #[test]
+    fn shutdown_reply_is_written_with_an_idle_connection_open() {
+        for round in 0..200 {
+            let service = Arc::new(Service::new());
+            let server = Server::bind_with("127.0.0.1:0", Arc::clone(&service), 2).unwrap();
+            let addr = server.local_addr();
+            let accept = std::thread::spawn(move || server.run());
+            let idle = TcpStream::connect(addr).unwrap();
+            let mut conn = TcpStream::connect(addr).unwrap();
+            conn.write_all(b"SHUTDOWN\n").unwrap();
+            // The idle client leaves the moment the SHUTDOWN is accepted.
+            while !service.shutdown_requested() {
+                std::hint::spin_loop();
+            }
+            drop(idle);
+            let mut reply = String::new();
+            let _ = conn.read_to_string(&mut reply);
+            assert!(reply.starts_with("OK"), "round {round}: {reply:?}");
+            accept.join().unwrap().unwrap();
+        }
+    }
+
+    /// A client that never reads its replies can block its worker in a write;
+    /// shutdown must still answer the SHUTDOWN and return once the grace
+    /// period is over.
+    #[test]
+    fn a_non_reading_client_cannot_wedge_shutdown() {
+        let server = Server::bind_with("127.0.0.1:0", Arc::new(Service::new()), 2).unwrap();
+        let addr = server.local_addr();
+        let handle = std::thread::spawn(move || server.run());
+        let mut flood = TcpStream::connect(addr).unwrap();
+        let written = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let progress = Arc::clone(&written);
+        let flooder = std::thread::spawn(move || {
+            // Unknown verbs are echoed back, so every line costs the server
+            // as many reply bytes as it read.
+            let chunk = format!("{}\n", "X".repeat(100_000));
+            // Ends when the server force-closes the connection.
+            while flood.write_all(chunk.as_bytes()).is_ok() {
+                progress.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        // Wait until the flood stalls: the replies nobody reads have backed
+        // up into the socket buffers.
+        let mut last = usize::MAX;
+        while written.load(Ordering::Relaxed) != last {
+            last = written.load(Ordering::Relaxed);
+            std::thread::sleep(Duration::from_millis(300));
+        }
+        let started = Instant::now();
+        let mut conn = TcpStream::connect(addr).unwrap();
+        conn.write_all(b"SHUTDOWN\n").unwrap();
+        let mut reply = String::new();
+        let _ = conn.read_to_string(&mut reply);
+        assert!(reply.starts_with("OK"), "{reply:?}");
+        handle.join().unwrap().unwrap();
+        assert!(started.elapsed() < SHUTDOWN_GRACE + Duration::from_secs(5));
+        flooder.join().unwrap();
     }
 }

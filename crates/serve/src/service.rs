@@ -683,6 +683,11 @@ mod tests {
 
         let stats = svc.handle_line("STATS west");
         assert!(stats.contains("edits_applied=1"), "{stats}");
+        // A deployment this small stays unsharded: its index is one tile,
+        // which STATS reports as no grid at all.
+        let payload = stats.strip_prefix("OK ").unwrap();
+        assert_eq!(payload_field(payload, "shards"), Some("off"));
+        assert_eq!(payload_field(payload, "shard_occupied"), Some("0"));
 
         assert_eq!(svc.handle_line("DROP west"), "OK dropped west");
         assert!(svc

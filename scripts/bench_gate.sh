@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
-# Bench regression gate: runs scripts/bench_smoke.sh into BENCH_10.json and
-# compares every workload that also appears in the previous committed
-# BENCH_*.json, failing when any entry regressed by more than the gate
-# factor.
+# Bench regression gate: runs scripts/bench_smoke.sh into BENCH_<N+1>.json
+# and compares every workload that also appears in BENCH_<N>.json, the
+# highest-numbered committed trajectory point, failing when any entry
+# regressed by more than the gate factor.
 #
 #   ./scripts/bench_gate.sh                 # gate at the default 2.0x
 #   BENCH_GATE_FACTOR=1.5 ./scripts/bench_gate.sh   # stricter gate
-#   ./scripts/bench_gate.sh --check-only    # compare an existing BENCH_10.json
+#   ./scripts/bench_gate.sh --check-only    # compare an existing BENCH_<N+1>.json
 #                                           # without re-running the benches
 #
 # Knobs:
@@ -22,16 +22,13 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 FACTOR="${BENCH_GATE_FACTOR:-2.0}"
-CURRENT="BENCH_10.json"
 
-# Previous trajectory point: the highest-numbered committed BENCH_*.json
-# other than the current output.
-PREV=""
-for f in $(ls BENCH_*.json 2>/dev/null | sort -V); do
-    [[ "$f" == "$CURRENT" ]] && continue
-    PREV="$f"
-done
-if [[ -z "$PREV" ]]; then
+# This run writes BENCH_<N+1>.json (named by bench_smoke.sh) and compares
+# it against BENCH_<N>.json, the highest-numbered committed trajectory point.
+CURRENT="$(./scripts/bench_smoke.sh --next-path)"
+N="${CURRENT//[!0-9]/}"
+PREV="BENCH_$(( N - 1 )).json"
+if [[ ! -f "$PREV" ]]; then
     echo "bench_gate: no previous BENCH_*.json to compare against; nothing to gate"
     exit 0
 fi

@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
 # Bench smoke run: quick-mode passes of the headline criterion benches
 # (traversal, verification, dispatch_policy, dynamic, parallel, serve,
-# store, shard, mst_scaling), parsed into BENCH_10.json so every PR leaves a machine-readable
-# point on the bench trajectory.  `scripts/bench_gate.sh` compares this
-# output against the previous committed BENCH_*.json.
+# store, shard, mst_scaling, orientation, batch_orient, flooding), parsed
+# into BENCH_<N+1>.json — N being the highest committed BENCH_<N>.json — so
+# every PR leaves a machine-readable point on the bench trajectory.
+# `scripts/bench_gate.sh` compares this output against BENCH_<N>.json.
 #
 #   ./scripts/bench_smoke.sh            # quick mode (40 ms budget per bench)
 #   CRITERION_STUB_MS=200 ./scripts/bench_smoke.sh   # steadier numbers
 #   ./scripts/bench_smoke.sh out.json   # custom output path
+#   ./scripts/bench_smoke.sh --next-path   # print the default output path
 #
 # Output: a JSON array of {suite, workload, n, ns_per_iter, iters} objects —
 # `workload` is the full criterion id, `n` the trailing numeric size
@@ -17,8 +19,18 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 QUICK_MS="${CRITERION_STUB_MS:-40}"
-OUT="${1:-BENCH_10.json}"
-BENCHES=(traversal verification dispatch_policy dynamic parallel serve store shard mst_scaling)
+# The next trajectory point, BENCH_<N+1>.json after the highest committed
+# BENCH_<N>.json.  This is the only place the name is derived: `--next-path`
+# prints it and exits, for bench_gate.sh and the CI upload step.
+LAST="$( (git ls-files 'BENCH_*.json' 2>/dev/null || ls BENCH_*.json) | sed -n 's/^BENCH_\([0-9]*\)\.json$/\1/p' | sort -n | tail -n 1)"
+NEXT="BENCH_$(( ${LAST:-0} + 1 )).json"
+if [[ "${1:-}" == "--next-path" ]]; then
+    echo "$NEXT"
+    exit 0
+fi
+OUT="${1:-$NEXT}"
+BENCHES=(traversal verification dispatch_policy dynamic parallel serve store shard mst_scaling
+    orientation batch_orient flooding)
 
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT

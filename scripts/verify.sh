@@ -32,6 +32,12 @@ fi
 echo "== workspace tests (unit + property + doctests; PROPTEST_CASES=128) =="
 PROPTEST_CASES=128 cargo test --workspace -q
 
+# The repository benchmark (perfbench/, its own cargo workspace) carries
+# unit tests of its metric lists, statistics and output checks; the root
+# workspace run above does not reach them.
+echo "== perfbench tests =="
+cargo test -q --manifest-path perfbench/Cargo.toml
+
 # The chaos oracle (tests/chaos_oracle.rs) already ran once above with its
 # built-in seeds; this pass re-runs the seeded sweep at the pinned fault
 # schedules so the gate is explicit about which chaos runs every PR must
@@ -179,9 +185,9 @@ echo "== docs suite (scripts/check_docs.sh) =="
 
 # Benches are not exercised by the test suite; building them (without
 # running) keeps them from rotting.  `scripts/bench_smoke.sh` runs the
-# headline benches in quick mode and records the numbers in BENCH_10.json;
-# `scripts/bench_gate.sh` compares that run against the previous committed
-# BENCH_*.json and flags >2x regressions (advisory CI job).
+# headline benches in quick mode and records the numbers in the next
+# BENCH_<N>.json; `scripts/bench_gate.sh` compares that run against the
+# highest committed BENCH_*.json and flags >2x regressions (advisory CI job).
 echo "== benches compile (cargo bench --no-run) =="
 cargo bench --no-run
 

@@ -75,7 +75,7 @@ struct Args {
 fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         listen: "127.0.0.1:7011".to_string(),
-        threads: antennae::core::parallel::default_threads(),
+        threads: antennae_parallel::default_threads(),
         print_port: false,
         data_dir: None,
         sync: None,
