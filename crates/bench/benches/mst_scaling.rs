@@ -9,15 +9,16 @@
 //!   widens roughly linearly in `n` afterwards; `Auto` should track the
 //!   better of the two at every size;
 //! * `mst_scaling/kd_threads/*` — the same kd-tree build at 1 worker vs the
-//!   session default, isolating the parallel fan-out term (on the 1-core CI
-//!   container the two coincide; on real multi-core hardware the gap is the
-//!   point of the ablation);
+//!   session default at 10⁵, 2·10⁵ and 4·10⁵ points, isolating the parallel
+//!   fan-out term (on a 1-core host the two coincide; on multi-core hardware
+//!   "default" must not fall behind "serial" at any size);
 //! * `build_pipeline/solve_verify/*` — the full Instance → orient → verify
 //!   pipeline at n = 10⁵, the PR-8 headline workload.
 //!
 //! Setting `ANTENNAE_BENCH_FULL=1` adds the n = 10⁶ configurations (a
-//! million-sensor engine build and full pipeline); they are minutes-long
-//! single-iteration runs and excluded from the default smoke pass.
+//! million-sensor engine build at both thread settings and the full
+//! pipeline); they are long single-iteration runs and excluded from the
+//! default smoke pass.
 
 use antennae_bench::workloads::uniform_points;
 use antennae_core::bounds::theorem2_spread_threshold;
@@ -68,26 +69,34 @@ fn bench_auto(c: &mut Criterion) {
     bench_engine(c, "mst_scaling/auto", MstEngine::Auto);
 }
 
-/// Thread ablation of the kd-tree engine at n = 10⁵: forced-serial vs the
-/// session default.  The two produce bit-identical trees (pinned by
+/// Thread ablation of the kd-tree engine: forced-serial vs the session
+/// default, at 10⁵, 2·10⁵ and 4·10⁵ points (and 10⁶ under
+/// `ANTENNAE_BENCH_FULL=1`).  The two produce bit-identical trees (pinned by
 /// `tests/parallel_build_oracle.rs`), so any wall-clock difference is pure
-/// fan-out.  Read together with the machine's core count: on the 1-core CI
-/// container `default_threads()` is 1 and the ids coincide by construction.
+/// fan-out, and "default" slower than "serial" at any size is the thread
+/// cliff coming back.  Read together with the machine's core count: on a
+/// 1-core host `default_threads()` is 1 and the ids coincide by
+/// construction.
 fn bench_kd_threads(c: &mut Criterion) {
     let mut group = c.benchmark_group("mst_scaling/kd_threads");
-    let n = 100_000;
-    let points = uniform_points(n, 42);
-    for (label, threads) in [("serial", 1), ("default", default_threads())] {
-        group.bench_with_input(BenchmarkId::new(label, n), &points, |b, pts| {
-            b.iter(|| {
-                EuclideanMst::build_with_engine_threads(
-                    black_box(pts),
-                    MstEngine::KdTreeBoruvka,
-                    threads,
-                )
-                .unwrap()
-            })
-        });
+    let mut sizes = vec![100_000usize, 200_000, 400_000];
+    if full_mode() {
+        sizes.push(1_000_000);
+    }
+    for n in sizes {
+        let points = uniform_points(n, 42);
+        for (label, threads) in [("serial", 1), ("default", default_threads())] {
+            group.bench_with_input(BenchmarkId::new(label, n), &points, |b, pts| {
+                b.iter(|| {
+                    EuclideanMst::build_with_engine_threads(
+                        black_box(pts),
+                        MstEngine::KdTreeBoruvka,
+                        threads,
+                    )
+                    .unwrap()
+                })
+            });
+        }
     }
     group.finish();
 }

@@ -3,6 +3,7 @@ use antennae_core::bounds::theorem2_spread_threshold;
 use antennae_core::instance::Instance;
 use antennae_core::solver::Solver;
 use antennae_core::verify::VerificationEngine;
+use antennae_parallel::default_threads;
 use std::io::{ErrorKind, Write};
 use std::time::Instant;
 
@@ -34,6 +35,10 @@ fn run() -> std::io::Result<()> {
         .and_then(|a| a.parse().ok())
         .unwrap_or(100_000);
     let mut out = std::io::stdout().lock();
+    // The thread and core counts lead the output: every figure below
+    // depends on them.
+    let nproc = std::thread::available_parallelism().map_or(1, |p| p.get());
+    writeln!(out, "n: {n} threads: {} nproc: {nproc}", default_threads())?;
     let t0 = Instant::now();
     let points = uniform_points(n, 42);
     writeln!(out, "gen: {:.2}s", t0.elapsed().as_secs_f64())?;

@@ -2,23 +2,36 @@
 //! nearest-foreign-component and range queries.
 //!
 //! The sub-quadratic Euclidean MST builder in `antennae-graph` drives its
-//! Borůvka rounds through [`KdIndex::nearest_foreign`] (the nearest point
-//! that belongs to a *different* connected component), and the simulation
-//! crate uses range queries to compute interference metrics (receivers
-//! inside a sector).
+//! Borůvka rounds through [`KdIndex::nearest_foreign_within`] (the nearest
+//! point that belongs to a *different* connected component), and the
+//! simulation crate uses range queries to compute interference metrics
+//! (receivers inside a sector).
 //!
-//! Ties on distance are broken towards the smaller point index everywhere, so
+//! Ties on distance are broken towards the smaller point id everywhere, so
 //! every query is deterministic even on degenerate inputs (duplicate points,
 //! co-circular neighbours) **and independent of the tree's internal layout**:
 //! a query's answer is a pure function of the point set.  The MST builder
 //! relies on that determinism for its tie-broken total order on candidate
 //! edges, and the parallel construction below relies on the layout
-//! independence for its bit-equality guarantee.
+//! independence for its bit-equality guarantee.  A point's id is its index
+//! in the slice the index was built over, also after [`KdIndex::renumber`]
+//! has moved the points into node order (see [`KdIndex::ids`]).
+//!
+//! # Component views
+//!
+//! The nearest-foreign query reads labels from a [`ComponentView`], a
+//! node-ordered copy of one labeling that also records, per node, the label
+//! its whole subtree shares (if any).  A subtree uniform in the query's own
+//! label holds no foreign point and is skipped without being entered —
+//! which is what keeps late Borůvka rounds cheap, when a vertex's nearest
+//! foreigner lies past thousands of points of its own component.
 //!
 //! [`KdIndex`] is the index alone, borrowing the point slice at every
-//! query: the MST engine, the verification engine and the dynamic snapshot
-//! (`DynamicKdTree`, behind [`crate::TiledKdForest`]) all own their points
-//! already, so indexing them must not copy them.
+//! query: the verification engine and the dynamic snapshot
+//! (`DynamicKdTree`, behind [`crate::TiledKdForest`]) own their points
+//! already, so indexing them must not copy them.  The MST engine is the one
+//! caller that takes a copy, on purpose: [`KdIndex::renumber`] hands it the
+//! points in node order, so its rounds read them in spatial order.
 //!
 //! # Construction
 //!
@@ -55,7 +68,8 @@ const PARALLEL_BUILD_MIN: usize = 8192;
 /// stride is measurably kinder to the cache on query-heavy workloads.
 #[derive(Debug, Clone, Copy)]
 struct Node {
-    /// Index into the point slice the index was built over.
+    /// Index into the point slice the index was built over (its own
+    /// position after [`KdIndex::renumber`]).
     point: u32,
     left: u32,
     right: u32,
@@ -64,13 +78,37 @@ struct Node {
 /// A kd-tree index over an *externally owned* point slice.
 ///
 /// Every query takes the point slice as a parameter; the caller must pass
-/// the same points (same order, same length) the index was built over.
-/// The Euclidean MST engine builds it over the instance's own point
-/// storage, so the index never copies the points.
+/// the same points (same order, same length) the index was built over, or,
+/// after [`KdIndex::renumber`], the node-ordered copy it returned.
 #[derive(Debug, Clone)]
 pub struct KdIndex {
     nodes: Vec<Node>,
     root: u32,
+    /// The id of each point after [`KdIndex::renumber`]; empty before, when
+    /// a point's id is its index.
+    ids: Vec<u32>,
+}
+
+/// Labels of the indexed points in node order, for
+/// [`KdIndex::nearest_foreign_within`].
+///
+/// For each node it records the label of the node's own point and the
+/// *uniform label* of its subtree: the label every point in the subtree
+/// shares, or [`ComponentView::MIXED`] when the subtree mixes labels.
+/// [`KdIndex::refresh_view`] fills it in one reverse pass over the node
+/// array, which visits children before their parent because every build —
+/// serial, or spliced from parallel arenas — stores a child after its
+/// parent.  Both labels are `u32`: 8 bytes per point.
+#[derive(Debug, Clone, Default)]
+pub struct ComponentView {
+    /// `(own label, uniform label)` per node: the query reads both from one
+    /// cache line.
+    labels: Vec<(u32, u32)>,
+}
+
+impl ComponentView {
+    /// The uniform label of a subtree that mixes labels; never a valid label.
+    pub const MIXED: u32 = u32::MAX;
 }
 
 /// A subtree deferred to the parallel phase of the build: the (already
@@ -110,11 +148,19 @@ impl KdIndex {
         let mut idx: Vec<u32> = (0..n as u32).collect();
         let mut nodes: Vec<Node> = Vec::with_capacity(n);
         if n == 0 {
-            return KdIndex { nodes, root: NONE };
+            return KdIndex {
+                nodes,
+                root: NONE,
+                ids: Vec::new(),
+            };
         }
         if threads <= 1 || n < PARALLEL_BUILD_MIN {
             let root = build_rec(points, &mut idx, 0, &mut nodes);
-            return KdIndex { nodes, root };
+            return KdIndex {
+                nodes,
+                root,
+                ids: Vec::new(),
+            };
         }
 
         // Serial skeleton: partition until subtrees reach the task size.
@@ -154,7 +200,75 @@ impl KdIndex {
                 nodes[task.parent as usize].right = offset;
             }
         }
-        KdIndex { nodes, root }
+        KdIndex {
+            nodes,
+            root,
+            ids: Vec::new(),
+        }
+    }
+
+    /// Renumbers the indexed points into node order and returns them in
+    /// that order: afterwards node `i` holds point `i`, so queries must pass
+    /// the returned slice, and they report positions in it.
+    ///
+    /// The nodes are relabelled in place (the tree is not rebuilt), and
+    /// [`KdIndex::ids`] maps each new position back to the point's index in
+    /// `points`, which stays its id: distance ties still break on it.  For a
+    /// serial build, node order is the preorder of the median partition, so
+    /// points close in the plane get close positions and a Borůvka round
+    /// over them reads its arrays in spatial order.
+    pub fn renumber(&mut self, points: &[Point]) -> Vec<Point> {
+        assert_eq!(points.len(), self.len(), "one point per node");
+        let ids: Vec<u32> = self
+            .nodes
+            .iter()
+            .map(|node| self.id(node.point as usize) as u32)
+            .collect();
+        let ordered = self
+            .nodes
+            .iter()
+            .map(|node| points[node.point as usize])
+            .collect();
+        for (i, node) in self.nodes.iter_mut().enumerate() {
+            node.point = i as u32;
+        }
+        self.ids = ids;
+        ordered
+    }
+
+    /// The id of each point after [`KdIndex::renumber`]: `ids()[i]` is the
+    /// index, in the slice the index was built over, of the point now at
+    /// position `i`.  Empty for an index that was never renumbered.
+    pub fn ids(&self) -> &[u32] {
+        &self.ids
+    }
+
+    /// The tie-breaking id of the point at position `point`; the
+    /// `usize::MAX` "nothing found yet" sentinel maps to itself.
+    #[inline]
+    fn id(&self, point: usize) -> usize {
+        self.ids.get(point).map_or(point, |&id| id as usize)
+    }
+
+    /// Fills `view` with `label_of(point)` for every indexed point, in node
+    /// order, together with each subtree's uniform label (see
+    /// [`ComponentView`]).  O(n): one reverse pass over the node array.
+    /// Labels must be below [`ComponentView::MIXED`].
+    pub fn refresh_view<F: Fn(usize) -> u32>(&self, view: &mut ComponentView, label_of: F) {
+        let n = self.len();
+        view.labels.resize(n, (0, 0));
+        for i in (0..n).rev() {
+            let node = self.nodes[i];
+            let label = label_of(node.point as usize);
+            debug_assert_ne!(label, ComponentView::MIXED, "label out of range");
+            let mixed = |child: u32| child != NONE && view.labels[child as usize].1 != label;
+            let uniform = if mixed(node.left) || mixed(node.right) {
+                ComponentView::MIXED
+            } else {
+                label
+            };
+            view.labels[i] = (label, uniform);
+        }
     }
 
     /// Number of points indexed.
@@ -188,75 +302,94 @@ impl KdIndex {
         (best.0 != usize::MAX).then(|| (best.0, best.1.sqrt()))
     }
 
-    /// Nearest point to `query` whose component label differs from `label`.
+    /// Nearest point to `query` that is foreign under every `(view, label)`
+    /// pair of `foreign` — whose label in each view differs from that
+    /// pair's label — at distance `max_dist` or closer.
     ///
-    /// `labels[i]` is the component of indexed point `i`; points whose label
-    /// equals `label` are invisible to the search.  This is the inner query
-    /// of the kd-tree Borůvka MST engine: each Borůvka round asks, for every
-    /// vertex, for the nearest vertex *outside* its own component.  Distance
-    /// ties are broken towards the smaller index so that concurrent
+    /// This is the inner query of the kd-tree Borůvka MST engine: each round
+    /// asks, for every vertex, for the nearest vertex *outside* its own
+    /// component (one pair: the round's component view and the vertex's
+    /// component).  The sharded stitch adds a second pair, a static view of
+    /// tile labels, to look outside the vertex's tile as well.  A subtree
+    /// whose uniform label in any view equals that pair's label holds no
+    /// foreign point and is skipped without being entered.
+    ///
+    /// Distance ties are broken towards the smaller id, so that concurrent
     /// component searches agree on a single total order of candidate edges.
+    /// A point at exactly `max_dist` is still reported (the bound behaves
+    /// like an already-seen candidate with an infinite id), so a component's
+    /// minimum candidate edge under the `(distance, id)` tie order is never
+    /// lost.  The bound is widened by a few ulps before use — callers
+    /// commonly pass a distance a previous query returned, and the
+    /// `sqrt`/square round-trip may otherwise land one ulp *below* the tied
+    /// candidate's squared distance and hide it; the widening can only admit
+    /// marginally farther points, never lose one, and a returned point is
+    /// always the true nearest foreigner.
     ///
-    /// Returns `(index, distance)`, or `None` when every point carries
-    /// `label`.
-    pub fn nearest_foreign(
+    /// Returns `(position, distance)`, or `None` when no foreign point lies
+    /// within `max_dist` (pass `f64::INFINITY` for an unbounded search).
+    pub fn nearest_foreign_within<const K: usize>(
         &self,
         points: &[Point],
         query: &Point,
-        labels: &[usize],
-        label: usize,
-    ) -> Option<(usize, f64)> {
-        self.nearest_foreign_within(points, query, labels, label, f64::INFINITY)
-    }
-
-    /// Like [`KdIndex::nearest_foreign`], but only reports points at
-    /// distance `max_dist` or closer.
-    ///
-    /// Subtrees beyond `max_dist` are pruned from the start, which is what
-    /// makes the Borůvka engine's late rounds cheap: once one vertex of a
-    /// component has found a nearby foreign point, its component-mates search
-    /// only within that radius.  A point at exactly `max_dist` is still
-    /// reported (the bound behaves like an already-seen candidate with an
-    /// infinite index), so a component's minimum candidate edge under the
-    /// `(distance, index)` tie order is never lost.  The bound is widened by
-    /// a few ulps before use — callers commonly pass a distance a previous
-    /// query returned, and the `sqrt`/square round-trip may otherwise land
-    /// one ulp *below* the tied candidate's squared distance and hide it; the
-    /// widening can only admit marginally farther points, never lose one,
-    /// and a returned point is always the true nearest foreigner.
-    pub fn nearest_foreign_within(
-        &self,
-        points: &[Point],
-        query: &Point,
-        labels: &[usize],
-        label: usize,
+        foreign: [(&ComponentView, u32); K],
         max_dist: f64,
     ) -> Option<(usize, f64)> {
-        assert_eq!(labels.len(), self.len(), "one label per indexed point");
-        self.nearest_filtered_within(points, query, |i| labels[i] == label, max_dist)
-    }
-
-    /// Like [`KdIndex::nearest_filtered`], but only reports points at
-    /// distance `max_dist` or closer — the general-predicate sibling of
-    /// [`KdIndex::nearest_foreign_within`], with the same inclusive,
-    /// ulp-widened bound semantics (a returned point is always the true
-    /// nearest non-skipped point; `None` only ever hides strictly farther
-    /// ones).  The sharded MST stitch uses it with a
-    /// same-tile-or-same-component skip.
-    pub fn nearest_filtered_within<F: Fn(usize) -> bool>(
-        &self,
-        points: &[Point],
-        query: &Point,
-        skip: F,
-        max_dist: f64,
-    ) -> Option<(usize, f64)> {
-        if self.root == NONE {
+        for (view, _) in &foreign {
+            assert_eq!(view.labels.len(), self.len(), "view of another index");
+        }
+        if self.root == NONE || pruned(&foreign, self.root) {
             return None;
         }
         let bound_sq = (max_dist * max_dist) * (1.0 + 4.0 * f64::EPSILON);
         let mut best = (usize::MAX, bound_sq);
-        self.nearest_rec(points, self.root, 0, query, &skip, &mut best);
+        self.foreign_rec(points, self.root, 0, query, &foreign, &mut best);
         (best.0 != usize::MAX).then(|| (best.0, best.1.sqrt()))
+    }
+
+    /// [`KdIndex::nearest_rec`] for the nearest-foreign query: a point
+    /// carrying a pair's label is not a candidate, and a child subtree
+    /// uniform in a pair's label is skipped before it is entered.
+    fn foreign_rec<const K: usize>(
+        &self,
+        points: &[Point],
+        node_idx: u32,
+        axis: u8,
+        query: &Point,
+        foreign: &[(&ComponentView, u32); K],
+        best: &mut (usize, f64),
+    ) {
+        let i = node_idx as usize;
+        let node = self.nodes[i];
+        let point_idx = node.point as usize;
+        let p = &points[point_idx];
+        if foreign
+            .iter()
+            .all(|(view, label)| view.labels[i].0 != *label)
+        {
+            let d2 = query.distance_squared(p);
+            if d2 < best.1 || (d2 == best.1 && self.id(point_idx) < self.id(best.0)) {
+                *best = (point_idx, d2);
+            }
+        }
+        let diff = if axis == 0 {
+            query.x - p.x
+        } else {
+            query.y - p.y
+        };
+        let (near, far) = if diff <= 0.0 {
+            (node.left, node.right)
+        } else {
+            (node.right, node.left)
+        };
+        if near != NONE && !pruned(foreign, near) {
+            self.foreign_rec(points, near, axis ^ 1, query, foreign, best);
+        }
+        // `<=` (not `<`): with id tie-breaking an equally distant,
+        // smaller-id point on the far side must still be found.
+        if far != NONE && diff * diff <= best.1 && !pruned(foreign, far) {
+            self.foreign_rec(points, far, axis ^ 1, query, foreign, best);
+        }
     }
 
     /// Nearest neighbour of `query` (no filtering).
@@ -282,7 +415,7 @@ impl KdIndex {
         let p = &points[point_idx];
         if !skip(point_idx) {
             let d2 = query.distance_squared(p);
-            if d2 < best.1 || (d2 == best.1 && point_idx < best.0) {
+            if d2 < best.1 || (d2 == best.1 && self.id(point_idx) < self.id(best.0)) {
                 *best = (point_idx, d2);
             }
         }
@@ -396,7 +529,7 @@ impl KdIndex {
         // Insert into the sorted candidate list (worst candidate last).
         let pos = best
             .iter()
-            .position(|&(bi, bd)| d < bd || (d == bd && point_idx < bi))
+            .position(|&(bi, bd)| d < bd || (d == bd && self.id(point_idx) < self.id(bi)))
             .unwrap_or(best.len());
         if pos < k {
             best.insert(pos, (point_idx, d));
@@ -420,6 +553,15 @@ impl KdIndex {
             self.k_nearest_rec(points, far, axis ^ 1, query, k, best);
         }
     }
+}
+
+/// Whether the subtree at `node` is uniform in some pair's label of
+/// `foreign`, and so holds no foreign point.
+#[inline]
+fn pruned<const K: usize>(foreign: &[(&ComponentView, u32); K], node: u32) -> bool {
+    foreign
+        .iter()
+        .any(|(view, label)| view.labels[node as usize].1 == *label)
 }
 
 /// Sequential recursive build over a (sub)slice of point ids: partition
@@ -604,36 +746,192 @@ mod tests {
         assert!(all.windows(2).all(|w| w[0].1 <= w[1].1));
     }
 
+    /// A view of `labels` (one per point, by point id) over `index`.
+    fn view_of(index: &KdIndex, labels: &[u32]) -> ComponentView {
+        let mut view = ComponentView::default();
+        index.refresh_view(&mut view, |p| labels[index.id(p)]);
+        view
+    }
+
     #[test]
     fn nearest_foreign_skips_own_component() {
         let pts = sample_points();
         let t = KdIndex::build(&pts);
         // Points 0 and 5 share component 7; the nearest foreigner of point 0
         // must therefore be point 1, not the closer point 5.
-        let labels = vec![7, 1, 1, 2, 2, 7];
-        let (idx, d) = t.nearest_foreign(&pts, &pts[0], &labels, 7).unwrap();
+        let view = view_of(&t, &[7, 1, 1, 2, 2, 7]);
+        let (idx, d) = t
+            .nearest_foreign_within(&pts, &pts[0], [(&view, 7)], f64::INFINITY)
+            .unwrap();
         assert_eq!(idx, 1);
         assert!((d - pts[0].distance(&pts[1])).abs() < 1e-12);
         // A component holding every point sees no foreigner.
-        let all_same = vec![3; pts.len()];
-        assert!(t.nearest_foreign(&pts, &pts[0], &all_same, 3).is_none());
+        let all_same = view_of(&t, &[3; 6]);
+        assert!(t
+            .nearest_foreign_within(&pts, &pts[0], [(&all_same, 3)], f64::INFINITY)
+            .is_none());
     }
 
     #[test]
     fn nearest_foreign_within_respects_the_bound() {
         let pts = sample_points();
         let t = KdIndex::build(&pts);
-        let labels = vec![7, 1, 1, 2, 2, 7];
-        let exact = t.nearest_foreign(&pts, &pts[0], &labels, 7).unwrap();
+        let view = view_of(&t, &[7, 1, 1, 2, 2, 7]);
+        let query = |bound| t.nearest_foreign_within(&pts, &pts[0], [(&view, 7)], bound);
+        let exact = query(f64::INFINITY).unwrap();
         // A bound at exactly the true distance still reports the point…
-        let bounded = t
-            .nearest_foreign_within(&pts, &pts[0], &labels, 7, exact.1)
-            .unwrap();
-        assert_eq!(bounded.0, exact.0);
+        assert_eq!(query(exact.1).unwrap().0, exact.0);
         // …while a tighter bound hides everything.
-        assert!(t
-            .nearest_foreign_within(&pts, &pts[0], &labels, 7, exact.1 * 0.99)
-            .is_none());
+        assert!(query(exact.1 * 0.99).is_none());
+    }
+
+    #[test]
+    fn nearest_foreign_with_two_views_skips_either_label() {
+        let pts = sample_points();
+        let t = KdIndex::build(&pts);
+        let components = view_of(&t, &[7, 1, 1, 2, 2, 7]);
+        // Point 1 is outside point 0's component but inside its tile, so
+        // the next point out, (2, 2), answers.
+        let tiles = view_of(&t, &[0, 0, 1, 1, 1, 0]);
+        let (idx, _) = t
+            .nearest_foreign_within(
+                &pts,
+                &pts[0],
+                [(&components, 7), (&tiles, 0)],
+                f64::INFINITY,
+            )
+            .unwrap();
+        assert_eq!(idx, 2);
+    }
+
+    #[test]
+    fn renumber_moves_points_into_node_order_and_keeps_ids() {
+        let pts = sample_points();
+        let mut t = KdIndex::build(&pts);
+        let plain = t.clone();
+        let ordered = t.renumber(&pts);
+        assert_eq!(ordered.len(), pts.len());
+        let mut seen: Vec<u32> = t.ids().to_vec();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..pts.len() as u32).collect::<Vec<_>>());
+        for (i, node) in t.nodes.iter().enumerate() {
+            assert_eq!(node.point as usize, i);
+            assert_eq!(ordered[i], pts[t.ids()[i] as usize]);
+            assert_eq!(plain.nodes[i].point, t.ids()[i]);
+        }
+        // Queries report positions in the renumbered slice.
+        for q in &pts {
+            let (a, da) = plain.nearest(&pts, q).unwrap();
+            let (b, db) = t.nearest(&ordered, q).unwrap();
+            assert_eq!(a, t.ids()[b] as usize);
+            assert_eq!(da.to_bits(), db.to_bits());
+        }
+    }
+
+    /// Walks the subtree at `node` and returns its set of labels.
+    fn subtree_labels(index: &KdIndex, node: u32, labels: &[u32], out: &mut Vec<u32>) {
+        if node == NONE {
+            return;
+        }
+        let n = index.nodes[node as usize];
+        out.push(labels[index.id(n.point as usize)]);
+        subtree_labels(index, n.left, labels, out);
+        subtree_labels(index, n.right, labels, out);
+    }
+
+    #[test]
+    fn view_marks_uniform_subtrees_on_serial_and_spliced_node_arrays() {
+        // Large enough for the parallel build to splice task arenas.
+        let n = PARALLEL_BUILD_MIN + 300;
+        let pts: Vec<Point> = (0..n)
+            .map(|i| Point::new(((i * 7919) % 1013) as f64, ((i * 104729) % 997) as f64))
+            .collect();
+        // Spatial blocks (many uniform subtrees) with a few stray labels
+        // sprinkled in (mixed subtrees up the tree).
+        let labels: Vec<u32> = pts
+            .iter()
+            .enumerate()
+            .map(|(i, p)| {
+                if i % 211 == 0 {
+                    99
+                } else {
+                    (p.x / 128.0) as u32 * 8 + (p.y / 128.0) as u32
+                }
+            })
+            .collect();
+        for threads in [1usize, 2, 3] {
+            let index = KdIndex::build_with_threads(&pts, threads);
+            let view = view_of(&index, &labels);
+            let (mut uniform, mut mixed) = (0, 0);
+            for i in 0..index.len() {
+                let mut below = Vec::new();
+                subtree_labels(&index, i as u32, &labels, &mut below);
+                assert_eq!(view.labels[i].0, below[0], "threads={threads} node {i}");
+                below.sort_unstable();
+                below.dedup();
+                let want = if below.len() == 1 {
+                    uniform += 1;
+                    below[0]
+                } else {
+                    mixed += 1;
+                    ComponentView::MIXED
+                };
+                assert_eq!(view.labels[i].1, want, "threads={threads} node {i}");
+            }
+            assert!(uniform > 0 && mixed > 0, "threads={threads}");
+        }
+    }
+
+    /// The linear-scan oracle of the nearest-foreign query: the minimum over
+    /// foreign points under the `(distance, id)` order.
+    fn foreign_by_scan(
+        pts: &[Point],
+        q: &Point,
+        foreign: impl Fn(usize) -> bool,
+    ) -> Option<(usize, f64)> {
+        (0..pts.len())
+            .filter(|&i| foreign(i))
+            .map(|i| (i, q.distance(&pts[i])))
+            .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
+    }
+
+    /// Checks both views (one and two label pairs) of a plain and a
+    /// renumbered index against [`foreign_by_scan`], bit for bit, with
+    /// `label` and `tile` the query's own labels.
+    fn check_foreign_query(
+        pts: &[Point],
+        labels: &[u32],
+        tiles: &[u32],
+        q: &Point,
+        label: u32,
+        tile: u32,
+    ) -> Result<(), proptest::test_runner::TestCaseError> {
+        let want_one = foreign_by_scan(pts, q, |i| labels[i] != label);
+        let want_two = foreign_by_scan(pts, q, |i| labels[i] != label && tiles[i] != tile);
+        let plain = KdIndex::build(pts);
+        let mut renumbered = plain.clone();
+        let ordered = renumbered.renumber(pts);
+        for (index, at) in [(&plain, pts), (&renumbered, &ordered[..])] {
+            let view = view_of(index, labels);
+            let tile_view = view_of(index, tiles);
+            let id = |hit: Option<(usize, f64)>| hit.map(|(i, d)| (index.id(i), d.to_bits()));
+            let bits = |hit: Option<(usize, f64)>| hit.map(|(i, d)| (i, d.to_bits()));
+            let one = index.nearest_foreign_within(at, q, [(&view, label)], f64::INFINITY);
+            prop_assert_eq!(id(one), bits(want_one));
+            let two = index.nearest_foreign_within(
+                at,
+                q,
+                [(&view, label), (&tile_view, tile)],
+                f64::INFINITY,
+            );
+            prop_assert_eq!(id(two), bits(want_two));
+            // Bounded at the answer's own distance, the answer survives.
+            if let Some((_, d)) = want_one {
+                let bounded = index.nearest_foreign_within(at, q, [(&view, label)], d);
+                prop_assert_eq!(id(bounded), bits(want_one));
+            }
+        }
+        Ok(())
     }
 
     #[test]
@@ -733,27 +1031,46 @@ mod tests {
 
         #[test]
         fn prop_nearest_foreign_matches_linear_scan(
-            xs in proptest::collection::vec((-50.0..50.0f64, -50.0..50.0f64, 0usize..4), 1..50),
+            xs in proptest::collection::vec((-50.0..50.0f64, -50.0..50.0f64, 0u32..4, 0u32..3), 1..50),
             qx in -50.0..50.0f64, qy in -50.0..50.0f64,
-            label in 0usize..4,
+            label in 0u32..4, tile in 0u32..3,
         ) {
-            let pts: Vec<Point> = xs.iter().map(|&(x, y, _)| Point::new(x, y)).collect();
-            let labels: Vec<usize> = xs.iter().map(|&(_, _, l)| l).collect();
-            let q = Point::new(qx, qy);
-            let t = KdIndex::build(&pts);
-            let got = t.nearest_foreign(&pts, &q, &labels, label);
-            let expected = (0..pts.len())
-                .filter(|&i| labels[i] != label)
-                .map(|i| (i, q.distance(&pts[i])))
-                .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-            match (got, expected) {
-                (None, None) => {}
-                (Some((gi, gd)), Some((ei, ed))) => {
-                    prop_assert_eq!(gi, ei);
-                    prop_assert!((gd - ed).abs() < 1e-12);
-                }
-                other => prop_assert!(false, "mismatch: {:?}", other),
-            }
+            let pts: Vec<Point> = xs.iter().map(|&(x, y, _, _)| Point::new(x, y)).collect();
+            let labels: Vec<u32> = xs.iter().map(|&(_, _, l, _)| l).collect();
+            let tiles: Vec<u32> = xs.iter().map(|&(_, _, _, t)| t).collect();
+            check_foreign_query(&pts, &labels, &tiles, &Point::new(qx, qy), label, tile)?;
+        }
+
+        #[test]
+        fn prop_nearest_foreign_matches_linear_scan_on_snapped_lattices(
+            xs in proptest::collection::vec((0u32..6, 0u32..6, 0u32..3, 0u32..2), 1..70),
+            query in 0usize..70,
+        ) {
+            // Integer-snapped points: exact duplicates, shared columns and
+            // rows, and distance ties everywhere, so the id tie-break
+            // decides most answers.  Queries sit on the points themselves.
+            let pts: Vec<Point> =
+                xs.iter().map(|&(x, y, _, _)| Point::new(x as f64, y as f64)).collect();
+            let labels: Vec<u32> = xs.iter().map(|&(_, _, l, _)| l).collect();
+            let tiles: Vec<u32> = xs.iter().map(|&(_, _, _, t)| t).collect();
+            let q = query % pts.len();
+            check_foreign_query(&pts, &labels, &tiles, &pts[q], labels[q], tiles[q])?;
+        }
+
+        #[test]
+        fn prop_nearest_foreign_matches_linear_scan_on_duplicates(
+            xs in proptest::collection::vec((0usize..5, 0u32..4), 2..60),
+            qx in -1.0..6.0f64, qy in -1.0..6.0f64,
+            label in 0u32..4,
+        ) {
+            // A handful of distinct sites, each repeated: whole subtrees of
+            // one coordinate, with labels mixed inside them.
+            let sites = [(0.0, 0.0), (1.0, 0.5), (2.5, 2.5), (0.5, 4.0), (4.0, 1.0)];
+            let pts: Vec<Point> =
+                xs.iter().map(|&(s, _)| Point::new(sites[s].0, sites[s].1)).collect();
+            let labels: Vec<u32> = xs.iter().map(|&(_, l)| l).collect();
+            let tiles: Vec<u32> = xs.iter().map(|&(s, _)| (s % 2) as u32).collect();
+            check_foreign_query(&pts, &labels, &tiles, &Point::new(qx, qy), label, 0)?;
         }
 
         #[test]

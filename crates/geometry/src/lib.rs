@@ -50,7 +50,7 @@ pub mod vector;
 
 pub use angle::Angle;
 pub use bbox::Aabb;
-pub use kdtree::KdIndex;
+pub use kdtree::{ComponentView, KdIndex};
 pub use point::Point;
 pub use sector::Sector;
 pub use tiles::{TileGrid, TiledKdForest};

@@ -23,12 +23,13 @@
 //!   against.
 //! * **Kd-tree Borůvka** — Borůvka rounds whose "cheapest outgoing edge per
 //!   component" queries run as nearest-foreign-component searches against a
-//!   [`KdIndex`] built directly over the caller's points (no copy).
-//!   O(n log n)-class on typical inputs: each of the O(log n) rounds performs
-//!   n pruned nearest-neighbour queries, and on multi-core hosts both the
-//!   index construction and the per-round scans fan out over worker threads
-//!   (see [`EuclideanMst::build_with_engine_threads`]) while producing
-//!   bit-identical trees at every thread count.
+//!   [`KdIndex`], renumbered into its own preorder so every round reads its
+//!   arrays in spatial order.  O(n log n)-class on typical inputs: each of
+//!   the O(log n) rounds performs n pruned nearest-neighbour queries, which
+//!   skip whole subtrees inside the querying component, and on multi-core
+//!   hosts both the index construction and the per-round scans fan out over
+//!   worker threads (see [`EuclideanMst::build_with_engine_threads`]) while
+//!   producing bit-identical trees at every thread count.
 //!
 //! Each engine breaks weight ties deterministically — dense Prim prefers the
 //! lexicographically smaller `(target, source)` pair, the Borůvka engine a
@@ -45,7 +46,7 @@
 use crate::graph::{Edge, Graph};
 use crate::union_find::UnionFind;
 use antennae_geometry::angular::{circular_gaps, sort_ccw};
-use antennae_geometry::{KdIndex, Point};
+use antennae_geometry::{ComponentView, KdIndex, Point};
 use antennae_parallel::{chunk_ranges, default_threads, parallel_map};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
@@ -470,98 +471,161 @@ fn dense_prim(points: &[Point]) -> Vec<Edge> {
 /// below this the thread-scope setup dwarfs the queries themselves.
 pub(crate) const PARALLEL_BORUVKA_MIN: usize = 4096;
 
-/// A candidate edge as `(weight, min endpoint, max endpoint)`, compared by
-/// [`edge_order`].
-pub(crate) type Candidate = (f64, usize, usize);
+/// A candidate edge as `(weight, min id, max id)`, compared by
+/// [`edge_order`].  The ids are the points' indices in the caller's slice,
+/// not their positions in the kd preorder the rounds run in, so the tie
+/// order never depends on the index's layout.
+pub(crate) type Candidate = (f64, u32, u32);
 
-/// What one scan over a slice of the component-sorted vertex order found:
+/// What one scan over a slice of the component-grouped vertex order found:
 /// `(root, candidate)` winners, one per contiguous same-root run in the
 /// slice, and `(v, nearest foreigner)` facts for the cross-round cache.
-pub(crate) type RunScan = (Vec<(usize, Candidate)>, Vec<(usize, (usize, f64))>);
+pub(crate) type RunScan = (Vec<(u32, Candidate)>, Vec<(u32, (u32, f64))>);
+
+/// The empty slot of the cross-round nearest-foreigner cache.
+const NOT_CACHED: u32 = u32::MAX;
+
+/// What a Borůvka round shows its scans.  Vertices are positions in the kd
+/// preorder (see [`KdIndex::renumber`]).
+pub(crate) struct Round<'a> {
+    /// Every vertex's component root.
+    pub labels: &'a [u32],
+    /// `labels` in node order, with each subtree's uniform label, for
+    /// [`KdIndex::nearest_foreign_within`].
+    pub view: &'a ComponentView,
+    /// `cache[v]`: v's exact nearest foreigner `(vertex, distance)` from an
+    /// earlier round, or [`NOT_CACHED`].
+    pub cache: &'a [(u32, f64)],
+    /// The id of each vertex, for [`candidate`].
+    pub ids: &'a [u32],
+}
+
+/// The candidate edge between vertices `v` and `u` at distance `d`, keyed
+/// by their ids.
+pub(crate) fn candidate(ids: &[u32], d: f64, v: usize, u: usize) -> Candidate {
+    let (a, b) = (ids[v], ids[u]);
+    (d, a.min(b), a.max(b))
+}
 
 /// Kd-tree Borůvka over the implicit complete Euclidean graph.
 ///
-/// Each round asks the kd-tree for every vertex's nearest *foreign* point
-/// ([`KdIndex::nearest_foreign`]), keeps the minimal candidate edge per
-/// component and merges (see [`boruvka_rounds`]).  Because the kd-tree
-/// breaks distance ties towards the smaller index, each component's winner
-/// is *the* minimum outgoing edge under [`edge_order`], which makes the
-/// procedure the plain Borůvka algorithm on a graph with all-distinct
-/// (tie-perturbed) weights: no cycles form, and the result is a true MST
-/// even for duplicate points and exact-tie lattices.  With `threads > 1`
-/// the index build and every round's scan fan out, and every thread count
-/// yields the identical edge list, bit for bit.
+/// The index is built once and renumbered into its node order (the
+/// preorder of the median partition), and the rounds run over a copy of
+/// the points in that order, so union-find, labels, cache and coordinates
+/// are all read in spatial order.  Each round asks the kd-tree for every
+/// vertex's nearest *foreign* point ([`KdIndex::nearest_foreign_within`]),
+/// keeps the minimal candidate edge per component and merges (see
+/// [`boruvka_rounds`]).  Because the kd-tree breaks distance ties towards
+/// the smaller *original* index, and candidates are keyed by original
+/// indices, each component's winner is *the* minimum outgoing edge under
+/// [`edge_order`] — the renumbering never reaches the tie order.  That makes
+/// the procedure the plain Borůvka algorithm on a graph with all-distinct
+/// (tie-perturbed) weights: no cycles form, and the result is the unique
+/// MST under that order even for duplicate points and exact-tie lattices.
+/// With `threads > 1` the index build and every round's scan fan out, and
+/// every thread count yields the identical edge list, bit for bit.  The
+/// edges come back in original indices.
 pub(crate) fn kd_boruvka(points: &[Point], threads: usize) -> Vec<Edge> {
-    // The index borrows `points`: the MST build path holds no extra copy of
-    // the point set.
-    let index = KdIndex::build_with_threads(points, threads);
-    let (edges, _) = boruvka_rounds(points.len(), threads, |labels, cache, order| {
-        let nearest = |v: usize, root: usize, bound: f64| {
-            index.nearest_foreign_within(points, &points[v], labels, root, bound)
+    let mut index = KdIndex::build_with_threads(points, threads);
+    let ordered = index.renumber(points);
+    let (edges, _) = boruvka_rounds(&index, threads, |round, order| {
+        let nearest = |v: usize, root: u32, bound: f64| {
+            index.nearest_foreign_within(&ordered, &ordered[v], [(round.view, root)], bound)
         };
-        scan_runs(labels, cache, order, |_, _| None, nearest)
+        scan_runs(round, order, |_, _| None, nearest)
     });
     edges
 }
 
+/// `positions(ids)[id]` is the position holding `id`: the inverse of
+/// [`KdIndex::ids`].
+pub(crate) fn positions(ids: &[u32]) -> Vec<u32> {
+    let mut at = vec![0u32; ids.len()];
+    for (pos, &id) in ids.iter().enumerate() {
+        at[id as usize] = pos as u32;
+    }
+    at
+}
+
 /// The Borůvka round loop shared by the kd engine and the sharded stitch
 /// (`crate::sharded`); the callers differ only in their `scan` closure.
-/// Returns the spanning edges and the number of rounds.
+/// `index` must be renumbered ([`KdIndex::renumber`]): the rounds run over
+/// its positions.  Returns the spanning edges, in original indices, and the
+/// number of rounds.
 ///
-/// Each round relabels every vertex with its component root, sorts the
-/// vertices by label so each component is one contiguous run, and calls
-/// `scan(labels, cache, run slice)` for per-run winners — over the whole
-/// order, or with `threads > 1` chunked over [`chunk_ranges`] and fanned
-/// out with [`parallel_map`].  A run straddling a chunk boundary yields one
-/// winner per fragment; the fragments are reconciled here under
-/// [`edge_order`], which gives the same per-component minimum whatever the
-/// chunking (see [`scan_runs`]).  The winners are then unioned in edge
-/// order.  The component count at least halves per round, so there are
-/// O(log n) rounds.
+/// Each round:
+/// 1. relabels every vertex with its component root;
+/// 2. refreshes the [`ComponentView`] of those labels — once per round,
+///    before the fan-out, so every chunk's queries share it;
+/// 3. groups the vertices by label with a counting sort, so each component
+///    is one contiguous run, in ascending (spatial) order within the run;
+/// 4. calls `scan(round, run slice)` for per-run winners — over the whole
+///    order, or with `threads > 1` chunked over [`chunk_ranges`] and fanned
+///    out with [`parallel_map`].  A run straddling a chunk boundary yields
+///    one winner per fragment; the fragments are reconciled here under
+///    [`edge_order`], which gives the same per-component minimum whatever
+///    the chunking (see [`scan_runs`]);
+/// 5. unions the winners in edge order.
+///
+/// The component count at least halves per round, so there are O(log n)
+/// rounds.
 ///
 /// `cache[v]` is v's exact nearest foreign point from an earlier round.
 /// Components only ever merge, so a cached point stays v's nearest
 /// foreigner for as long as it remains foreign; only vertices whose
 /// candidate got absorbed query the index again.
-pub(crate) fn boruvka_rounds<S>(n: usize, threads: usize, scan: S) -> (Vec<Edge>, usize)
+pub(crate) fn boruvka_rounds<S>(index: &KdIndex, threads: usize, scan: S) -> (Vec<Edge>, usize)
 where
-    S: Fn(&[usize], &[Option<(usize, f64)>], &[usize]) -> RunScan + Sync,
+    S: Fn(&Round<'_>, &[u32]) -> RunScan + Sync,
 {
+    let n = index.len();
+    let ids = index.ids();
+    assert_eq!(ids.len(), n, "the rounds run over a renumbered index");
+    let at = positions(ids);
     let mut uf = UnionFind::new(n);
-    let mut labels = vec![0usize; n];
+    let mut labels = vec![0u32; n];
+    let mut view = ComponentView::default();
     let mut edges = Vec::with_capacity(n.saturating_sub(1));
-    let mut cache: Vec<Option<(usize, f64)>> = vec![None; n];
-    let mut order: Vec<usize> = (0..n).collect();
+    let mut cache: Vec<(u32, f64)> = vec![(NOT_CACHED, 0.0); n];
+    let mut order = vec![0u32; n];
+    let mut run_start = vec![0u32; n + 1];
     // Round-persistent scratch, reset through `touched` instead of
     // reallocated every round: the minimal candidate per component root,
     // and the roots written this round.
     let mut best: Vec<Option<Candidate>> = vec![None; n];
-    let mut touched: Vec<usize> = Vec::new();
-    let mut round: Vec<Candidate> = Vec::new();
+    let mut touched: Vec<u32> = Vec::new();
+    let mut winners: Vec<Candidate> = Vec::new();
     let mut rounds = 0usize;
 
     while uf.component_count() > 1 {
         rounds += 1;
         for (v, label) in labels.iter_mut().enumerate() {
-            *label = uf.find(v);
+            *label = uf.find(v) as u32;
         }
-        order.sort_unstable_by_key(|&v| labels[v]);
+        index.refresh_view(&mut view, |v| labels[v]);
+        group_by_label(&labels, &mut run_start, &mut order);
+        let round = Round {
+            labels: &labels,
+            view: &view,
+            cache: &cache,
+            ids,
+        };
         let scans: Vec<RunScan> = if threads > 1 && n >= PARALLEL_BORUVKA_MIN {
             let ranges = chunk_ranges(n, threads);
             parallel_map(&ranges, threads, |&(start, end)| {
-                scan(&labels, &cache, &order[start..end])
+                scan(&round, &order[start..end])
             })
         } else {
-            vec![scan(&labels, &cache, &order)]
+            vec![scan(&round, &order)]
         };
-        for (winners, cache_updates) in scans {
+        for (run_winners, cache_updates) in scans {
             // Chunks cover disjoint vertex sets (each v appears once in
             // `order`), so these writes never conflict.
             for (v, found) in cache_updates {
-                cache[v] = Some(found);
+                cache[v as usize] = found;
             }
-            for (root, candidate) in winners {
-                match &mut best[root] {
+            for (root, candidate) in run_winners {
+                match &mut best[root as usize] {
                     Some(b) => {
                         if edge_order(candidate, *b) == Ordering::Less {
                             *b = candidate;
@@ -574,18 +638,18 @@ where
                 }
             }
         }
-        round.clear();
+        winners.clear();
         for &root in &touched {
-            round.extend(best[root].take()); // take() resets the scratch slot
+            winners.extend(best[root as usize].take()); // take() resets the slot
         }
         touched.clear();
-        round.sort_by(|&a, &b| edge_order(a, b));
+        winners.sort_unstable_by(|&a, &b| edge_order(a, b));
         let before = uf.component_count();
-        for &(d, a, b) in &round {
+        for &(d, a, b) in &winners {
             // Two components may nominate the same edge; the second union is
             // a no-op rather than a duplicate edge.
-            if uf.union(a, b) {
-                edges.push(Edge::new(a, b, d));
+            if uf.union(at[a as usize] as usize, at[b as usize] as usize) {
+                edges.push(Edge::new(a as usize, b as usize, d));
             }
         }
         debug_assert!(
@@ -596,13 +660,33 @@ where
     (edges, rounds)
 }
 
-/// Scans one slice of the component-sorted vertex order for candidate
+/// Fills `order` with the vertices grouped by label — each label one
+/// contiguous run, vertices ascending within it — by a counting sort over
+/// the labels (which are vertices, so below `labels.len()`).  `start` is
+/// scratch of length `labels.len() + 1`.
+fn group_by_label(labels: &[u32], start: &mut [u32], order: &mut [u32]) {
+    start.fill(0);
+    for &label in labels {
+        start[label as usize + 1] += 1;
+    }
+    for i in 1..start.len() {
+        start[i] += start[i - 1];
+    }
+    for (v, &label) in labels.iter().enumerate() {
+        let slot = &mut start[label as usize];
+        order[*slot as usize] = v as u32;
+        *slot += 1;
+    }
+}
+
+/// Scans one slice of the component-grouped vertex order for candidate
 /// edges: per contiguous same-root run, the minimum under [`edge_order`] of
 /// every member's `extra(v, root)` candidate and its nearest foreign point
 /// `nearest(v, root, bound)` — the closest point outside v's component, at
 /// distance `bound` or closer.  The kd engine passes no extra candidates
-/// and a plain nearest-foreign query; the sharded stitch passes the
-/// tile-tree edges and a query that also skips same-tile points.
+/// and a nearest-foreign query over the round's component view; the sharded
+/// stitch passes the tile-tree edges and a query that also skips same-tile
+/// points.
 ///
 /// Within a run the running best distance seeds (bounds) later members'
 /// searches — a farther point cannot win the run anyway, and points at
@@ -615,27 +699,29 @@ where
 /// weakens the seeding bounds (each fragment starts from ∞), which can make
 /// more queries return `Some` — but every `Some` is the exact per-vertex
 /// nearest foreigner, so the per-root minimum of the merged fragment winners
-/// equals the single-scan winner.  Cache contents may likewise differ across
-/// thread counts, but a cache entry is only ever an exact nearest foreigner
-/// and is used only while still foreign, when a fresh query would return
-/// the very same pair.  Hence the merged result — and therefore the whole
-/// MST — is bit-identical for every chunking.
-pub(crate) fn scan_runs<E, Q>(
-    labels: &[usize],
-    cache: &[Option<(usize, f64)>],
-    order: &[usize],
-    extra: E,
-    nearest: Q,
-) -> RunScan
+/// equals the single-scan winner.  What a query may skip does not depend on
+/// the chunking either: every chunk reads the one view the round refreshed
+/// before the fan-out, and a subtree is pruned only when none of its points
+/// is foreign, so pruning changes how much of the tree a query walks, never
+/// its answer.  Cache contents may differ across thread counts, but a cache
+/// entry is only ever an exact nearest foreigner and is used only while
+/// still foreign, when a fresh query would return the very same pair.
+/// Hence the merged result — and therefore the whole MST — is bit-identical
+/// for every chunking.
+pub(crate) fn scan_runs<E, Q>(round: &Round<'_>, order: &[u32], extra: E, nearest: Q) -> RunScan
 where
-    E: Fn(usize, usize) -> Option<Candidate>,
-    Q: Fn(usize, usize, f64) -> Option<(usize, f64)>,
+    E: Fn(usize, u32) -> Option<Candidate>,
+    Q: Fn(usize, u32, f64) -> Option<(usize, f64)>,
 {
-    let mut winners: Vec<(usize, Candidate)> = Vec::new();
-    let mut cache_updates: Vec<(usize, (usize, f64))> = Vec::new();
+    let Round {
+        labels, cache, ids, ..
+    } = *round;
+    let mut winners: Vec<(u32, Candidate)> = Vec::new();
+    let mut cache_updates: Vec<(u32, (u32, f64))> = Vec::new();
     // The current contiguous run's root and its best candidate so far.
-    let mut current: Option<(usize, Candidate)> = None;
+    let mut current: Option<(u32, Candidate)> = None;
     for &v in order {
+        let v = v as usize;
         let root = labels[v];
         let mut best = match current {
             Some((r, b)) if r == root => Some(b),
@@ -649,15 +735,15 @@ where
             best = Some(min_candidate(best, candidate));
         }
         let found = match cache[v] {
-            Some((u, d)) if labels[u] != root => Some((u, d)),
+            (u, d) if u != NOT_CACHED && labels[u as usize] != root => Some((u as usize, d)),
             _ => {
                 let found = nearest(v, root, best.map_or(f64::INFINITY, |(d, _, _)| d));
-                cache_updates.extend(found.map(|f| (v, f)));
+                cache_updates.extend(found.map(|(u, d)| (v as u32, (u as u32, d))));
                 found
             }
         };
         if let Some((u, d)) = found {
-            best = Some(min_candidate(best, (d, v.min(u), v.max(u))));
+            best = Some(min_candidate(best, candidate(ids, d, v, u)));
         }
         if let Some(b) = best {
             current = Some((root, b));
@@ -967,6 +1053,105 @@ mod tests {
             let parallel_edges: Vec<_> = parallel.edges().iter().map(key).collect();
             assert_eq!(serial_edges, parallel_edges, "threads={threads}");
             assert_eq!(serial.lmax().to_bits(), parallel.lmax().to_bits());
+        }
+    }
+
+    /// Kruskal's MST over every pair of `pts` at distance `radius` or
+    /// closer, as sorted `(u, v, weight bits)` keys with `u < v`.  With
+    /// `radius` at least the MST's `lmax` the graph contains the unique MST
+    /// of the complete graph under the `(weight, u, v)` order, and Kruskal
+    /// returns exactly it (cycle property); `f64::INFINITY` is the complete
+    /// graph itself.
+    fn kruskal_keys(pts: &[Point], radius: f64) -> Vec<(usize, usize, u64)> {
+        let index = KdIndex::build(pts);
+        let mut graph = Graph::new(pts.len());
+        for u in 0..pts.len() {
+            for v in index.within_radius(pts, &pts[u], radius) {
+                if u < v {
+                    graph.add_edge(u, v, pts[u].distance(&pts[v]));
+                }
+            }
+        }
+        let mut keys: Vec<_> = kruskal_mst(&graph)
+            .edges
+            .iter()
+            .map(|e| (e.u.min(e.v), e.u.max(e.v), e.weight.to_bits()))
+            .collect();
+        keys.sort_unstable();
+        keys
+    }
+
+    fn hexagonal_lattice(rows: i32) -> Vec<Point> {
+        (0..rows)
+            .flat_map(|i| {
+                (0..rows).map(move |j| {
+                    Point::new(i as f64 + 0.5 * j as f64, j as f64 * 3f64.sqrt() / 2.0)
+                })
+            })
+            .collect()
+    }
+
+    fn square_lattice(cols: usize, rows: usize) -> Vec<Point> {
+        (0..cols)
+            .flat_map(|i| (0..rows).map(move |j| Point::new(i as f64, j as f64)))
+            .collect()
+    }
+
+    fn with_duplicates(n: usize, seed: u64) -> Vec<Point> {
+        let mut pts = random_points(n, seed);
+        pts.extend_from_within(n / 8..n / 2);
+        pts.extend(square_lattice(8, 8));
+        pts.extend(square_lattice(8, 8));
+        pts
+    }
+
+    fn collinear(n: usize) -> Vec<Point> {
+        // Repeats along one line: duplicates and equal gaps everywhere.
+        (0..n)
+            .map(|i| Point::new((i % 500) as f64 * 0.5, (i % 500) as f64 * 0.25))
+            .collect()
+    }
+
+    #[test]
+    fn kd_boruvka_matches_kruskal_edge_for_edge_under_ties() {
+        // Kruskal sorts by (weight, u, v) with u < v: the very tie order the
+        // kd engine keys its candidates by, on the original indices, while
+        // its rounds run over kd-preorder positions.  The MST under that
+        // strict order is unique, so the edge sets must agree exactly.  The
+        // small inputs run against the complete graph; the large ones clear
+        // both parallel thresholds (the spliced kd build and the chunked
+        // scan), and run against the graph of pairs within the kd tree's
+        // `lmax`, which no spanning tree can undercut.
+        let inputs = [
+            ("hexagonal", hexagonal_lattice(13), false),
+            ("square", square_lattice(15, 12), false),
+            ("duplicates", with_duplicates(90, 5), false),
+            ("collinear", collinear(150), false),
+            ("hexagonal", hexagonal_lattice(95), true),
+            ("square", square_lattice(100, 90), true),
+            ("duplicates", with_duplicates(6000, 6), true),
+            ("collinear", collinear(8800), true),
+        ];
+        let key = |e: &Edge| (e.u.min(e.v), e.u.max(e.v), e.weight.to_bits());
+        for (name, pts, large) in &inputs {
+            assert_eq!(
+                pts.len() >= PARALLEL_BORUVKA_MIN.max(8192),
+                *large,
+                "{name}"
+            );
+            let mut want = None;
+            for threads in [1usize, 2, 3] {
+                let mut got: Vec<_> = kd_boruvka(pts, threads).iter().map(key).collect();
+                got.sort_unstable();
+                let want = want.get_or_insert_with(|| {
+                    let lmax = got
+                        .iter()
+                        .map(|&(_, _, w)| f64::from_bits(w))
+                        .fold(0.0, f64::max);
+                    kruskal_keys(pts, if *large { lmax } else { f64::INFINITY })
+                });
+                assert_eq!(&got, want, "{name} n={}, threads={threads}", pts.len());
+            }
         }
     }
 

@@ -39,11 +39,12 @@
 //! workloads across tile sizes and thread counts.
 
 use crate::euclidean::{
-    boruvka_rounds, kd_boruvka, min_candidate, scan_runs, EmstError, EuclideanMst, MstEngine,
+    boruvka_rounds, candidate, kd_boruvka, min_candidate, positions, scan_runs, EmstError,
+    EuclideanMst, MstEngine,
 };
 use crate::graph::Edge;
 use antennae_geometry::tiles::TileGrid;
-use antennae_geometry::{KdIndex, Point};
+use antennae_geometry::{ComponentView, KdIndex, Point};
 use antennae_parallel::parallel_map;
 
 /// What a [`build_sharded`] run did — telemetry for STATS, the sim
@@ -122,36 +123,48 @@ pub fn build_sharded(
             .collect()
     });
     let tile_edges: usize = tile_forests.iter().map(Vec::len).sum();
-    // Tile-tree adjacency over global indices: the cheap candidate source
-    // the stitch scans before asking the kd index for cross-tile points.
+
+    // The stitch runs over the kd preorder, as the global engine does:
+    // positions for vertices, original indices for every tie.
+    let mut index = KdIndex::build_with_threads(points, threads);
+    let ordered = index.renumber(points);
+    let ids = index.ids();
+    let at = positions(ids);
+    // Tile labels by position, and their node-ordered view: a subtree
+    // wholly inside the querying vertex's tile holds no cross-tile point.
+    let tile_at: Vec<u32> = ids.iter().map(|&g| tile_of[g as usize]).collect();
+    let mut tiles = ComponentView::default();
+    index.refresh_view(&mut tiles, |v| tile_at[v]);
+    // Tile-tree adjacency over positions: the cheap candidate source the
+    // stitch scans before asking the kd index for cross-tile points.
     let mut tile_adj: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n];
     for e in tile_forests.iter().flatten() {
-        tile_adj[e.u].push((e.v as u32, e.weight));
-        tile_adj[e.v].push((e.u as u32, e.weight));
+        let (a, b) = (at[e.u], at[e.v]);
+        tile_adj[a as usize].push((b, e.weight));
+        tile_adj[b as usize].push((a, e.weight));
     }
 
     // The stitch is the shared Borůvka round loop with one more candidate
     // source per vertex: its tile-tree edges leaving the component are
     // scanned directly, and the nearest-foreigner query skips same-tile
-    // points (those pairs are covered by the tile trees).
-    let index = KdIndex::build_with_threads(points, threads);
-    let (edges, rounds) = boruvka_rounds(n, threads, |labels, cache, order| {
-        let tile_edges = |v: usize, root: usize| {
+    // points (those pairs are covered by the tile trees) — pruning any
+    // subtree uniform in the vertex's tile or in its component.
+    let (edges, rounds) = boruvka_rounds(&index, threads, |round, order| {
+        let tile_edges = |v: usize, root: u32| {
             let mut best = None;
             for &(u, w) in &tile_adj[v] {
                 let u = u as usize;
-                if labels[u] != root {
-                    best = Some(min_candidate(best, (w, v.min(u), v.max(u))));
+                if round.labels[u] != root {
+                    best = Some(min_candidate(best, candidate(round.ids, w, v, u)));
                 }
             }
             best
         };
-        let nearest_cross_tile = |v: usize, root: usize, bound: f64| {
-            let tile = tile_of[v];
-            let skip = |u: usize| tile_of[u] == tile || labels[u] == root;
-            index.nearest_filtered_within(points, &points[v], skip, bound)
+        let nearest_cross_tile = |v: usize, root: u32, bound: f64| {
+            let foreign = [(round.view, root), (&tiles, tile_at[v])];
+            index.nearest_foreign_within(&ordered, &ordered[v], foreign, bound)
         };
-        scan_runs(labels, cache, order, tile_edges, nearest_cross_tile)
+        scan_runs(round, order, tile_edges, nearest_cross_tile)
     });
 
     let cross_edges = edges
